@@ -248,7 +248,7 @@ def _cmd_isometry_admissible(args) -> dict:
         "m0": args.m0,
         "t": adm.t,
         "trace": adm.iota.trace(),
-        "spinor_norm": isometry_mod.spinor_norm(adm.iota),
+        "spinor_norm": adm.spinor_norm,
         "invariant_rank": adm.sublattice.rank,
         "invariant_basis": [list(v) for v in adm.sublattice.basis],
         "induced_gram": [list(row) for row in induced.gram],

@@ -3,11 +3,13 @@
 Everything in this package works with lattices of rank at most 23, so the
 implementations below favour exactness and clarity over asymptotics.  Matrices
 are sequences of rows; entries are Python ints or fractions.Fraction.  All
-functions are pure and return fresh lists.
+functions are pure and return fresh lists, except ``rref_insert``, which grows
+a reduced row-echelon basis in place.
 """
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from typing import Sequence
 
@@ -100,72 +102,77 @@ def det_fraction(a: Matrix) -> Fraction:
     return det
 
 
+def rref_insert(rows: list[list[Fraction]], pivots: list[int], row: Row) -> bool:
+    """Add ``row`` to a reduced row-echelon basis, in place.
+
+    ``rows`` are the basis rows, each with a 1 in its pivot column and 0 in
+    every other row's pivot column; ``pivots`` lists those columns in
+    ascending order.  Returns False, leaving the basis unchanged, when
+    ``row`` already lies in its span.  The reduced basis of a row space is
+    unique, so the result does not depend on the insertion order.
+    """
+    row = [Fraction(x) for x in row]
+    for basis_row, c in zip(rows, pivots):
+        factor = row[c]
+        if factor:
+            row = [x - factor * y for x, y in zip(row, basis_row)]
+    pivot = next((c for c, x in enumerate(row) if x), None)
+    if pivot is None:
+        return False
+    inv = 1 / row[pivot]
+    row = [x * inv for x in row]
+    for basis_row in rows:
+        factor = basis_row[pivot]
+        if factor:
+            basis_row[:] = [x - factor * y for x, y in zip(basis_row, row)]
+    k = bisect.bisect(pivots, pivot)
+    pivots.insert(k, pivot)
+    rows.insert(k, row)
+    return True
+
+
+def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> list[list[Fraction]]:
+    """Basis of the right null space of a reduced row-echelon basis: one
+    vector per free column, in ascending order, with a 1 in that column."""
+    basis = []
+    pivot_set = set(pivots)
+    for c in range(cols):
+        if c in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[c] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[c]
+        basis.append(vec)
+    return basis
+
+
 def solve_fraction(a: Matrix, rhs: Row) -> list[Fraction] | None:
     """Solve a x = rhs over Q; None when inconsistent.
 
     For underdetermined consistent systems an arbitrary particular solution is
     returned (free variables set to zero).
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
+    cols = len(a[0]) if len(a) else 0
+    rows: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row, b in zip(a, rhs):
+        rref_insert(rows, pivots, [*row, b])
+    if cols in pivots:  # a pivot in the right-hand side column reads 0 = 1
+        return None
     x = [Fraction(0)] * cols
-    for row_i, col_i in pivots:
-        x[col_i] = aug[row_i][cols]
+    for row, c in zip(rows, pivots):
+        x[c] = row[cols]
     return x
 
 
 def fraction_kernel(a: Matrix) -> list[list[Fraction]]:
     """Basis of the right null space of a over Q (rows of the result)."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = mat_fraction(a)
+    rows: list[list[Fraction]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for c in free:
-        vec = [Fraction(0)] * cols
-        vec[c] = Fraction(1)
-        for row_i, col_i in enumerate(pivots):
-            vec[col_i] = -m[row_i][c]
-        basis.append(vec)
-    return basis
+    for row in a:
+        rref_insert(rows, pivots, row)
+    return rref_kernel(rows, pivots, len(a[0]) if len(a) else 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -115,12 +115,74 @@ def product_of_reflections(lat: Lattice, mirrors: Sequence[Sequence]) -> Isometr
     return out
 
 
-def _orthocomplement_basis(lat: Lattice, fixed: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not fixed:
-        n = lat.rank
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    pairing = [exactmat.mat_vec(lat.gram, f) for f in fixed]
-    return exactmat.fraction_kernel(pairing)
+def _reflect_rows(matrix: list[list[Fraction]], mirror: Sequence, gram_mirror: Sequence,
+                  norm: Fraction) -> None:
+    """Replace ``matrix`` by refl(mirror) @ matrix in place, as the rank-1
+    update matrix -= mirror (x) (2 (G mirror)^T matrix / (mirror, mirror))."""
+    scale = 2 / norm
+    terms = [(scale * c, row) for c, row in zip(gram_mirror, matrix) if c]
+    update = [sum(c * row[j] for c, row in terms) for j in range(len(matrix))]
+    for i, m in enumerate(mirror):
+        if m:
+            matrix[i] = [x - m * y for x, y in zip(matrix[i], update)]
+
+
+def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
+    """The Cartan-Dieudonne mirrors of ``g`` in list order, each with its
+    norm (m, m); see ``cartan_dieudonne``."""
+    lat = g.lattice
+    n = lat.rank
+    gram = [[(j, a) for j, a in enumerate(row) if a] for row in lat.gram]
+
+    def pair(v: Sequence) -> list:
+        return [sum(a * v[j] for j, a in row) for row in gram]
+
+    def dot(u: Sequence, v: Sequence):
+        return sum(a * b for a, b in zip(u, v))
+
+    current = [[Fraction(x) for x in row] for row in g.matrix]
+    factors: list[tuple[tuple, list, Fraction]] = []
+
+    def apply_left(mirror: list[Fraction]) -> None:
+        gram_mirror = pair(mirror)
+        norm = dot(mirror, gram_mirror)
+        if norm == 0:
+            raise IsometryError("cannot reflect in an isotropic vector")
+        factors.append((tuple(mirror), gram_mirror, norm))
+        _reflect_rows(current, mirror, gram_mirror, norm)
+
+    # Reduced row-echelon basis of the pairing rows G x of the clamped vectors;
+    # its kernel is their orthocomplement.
+    rows: list[list[Fraction]] = []
+    pivots: list[int] = []
+    while len(rows) < n:
+        basis = exactmat.rref_kernel(rows, pivots, n)
+        x = next((w for w in basis if dot(w, pair(w)) != 0), None)
+        if x is None:
+            # Nondegenerate subspace of isotropic basis vectors: some pair
+            # pairs nontrivially and their sum is anisotropic.
+            u, w = next((u, w) for u in basis for w in basis if dot(u, pair(w)) != 0)
+            x = [a + b for a, b in zip(u, w)]
+        support = [(j, v) for j, v in enumerate(x) if v]
+        gx = [sum(row[j] * v for j, v in support) for row in current]
+        diff = [a - b for a, b in zip(x, gx)]
+        if any(diff):
+            if dot(diff, pair(diff)) != 0:
+                apply_left(diff)
+            else:
+                apply_left([a + b for a, b in zip(x, gx)])
+                apply_left(x)
+        exactmat.rref_insert(rows, pivots, pair(x))
+    if not exactmat.mat_eq(current, exactmat.identity(n)):
+        raise IsometryError("reflection factorization failed to terminate")
+    # The loop built r_k ... r_1 g = 1, so g = r_1 r_2 ... r_k (involutions).
+    # Rebuild that product from the mirrors alone, right factor first.
+    product = exactmat.mat_fraction(exactmat.identity(n))
+    for mirror, gram_mirror, norm in reversed(factors):
+        _reflect_rows(product, mirror, gram_mirror, norm)
+    if not exactmat.mat_eq(product, g.matrix):
+        raise IsometryError("reflection factorization does not reproduce the isometry")
+    return [(mirror, norm) for mirror, _, norm in factors]
 
 
 def cartan_dieudonne(g: Isometry) -> list[tuple]:
@@ -133,51 +195,25 @@ def cartan_dieudonne(g: Isometry) -> list[tuple]:
     clamped: when x - g(x) is anisotropic a single reflection sends g(x) back
     to x, otherwise x + g(x) is anisotropic (the two norms add up to 4 (x, x))
     and s_x composed with s_{x + g(x)} does the job.
+
+    Each step costs O(rank^2) exact operations: a reflection is applied as a
+    rank-1 update, the pairing row G x of the clamped vector is added once to
+    a reduced row-echelon basis whose kernel is the orthocomplement, and
+    pairings use only the nonzero Gram entries.  (A step whose complement
+    basis is all isotropic searches its pairs, O(rank^3).)  Two runtime
+    checks guard the result: the reduced isometry must end as the identity,
+    and the product of the emitted reflections, rebuilt by rank-1 updates,
+    must equal ``g``.  An isotropic mirror raises ``IsometryError``.
     """
-    lat = g.lattice
-    n = lat.rank
-    current = [[Fraction(x) for x in row] for row in g.matrix]
-    mirrors: list[tuple] = []
-    fixed: list[list[Fraction]] = []
-
-    def apply_left(mirror: list[Fraction]) -> None:
-        mirrors.append(tuple(mirror))
-        refl = reflection(lat, mirror).matrix
-        current[:] = exactmat.mat_mul(refl, current)
-
-    while len(fixed) < n:
-        basis = _orthocomplement_basis(lat, fixed)
-        if not basis:
-            break
-        x = next((w for w in basis if lat.norm(w) != 0), None)
-        if x is None:
-            # Nondegenerate subspace of isotropic basis vectors: some pair
-            # pairs nontrivially and their sum is anisotropic.
-            pair = next(((u, w) for u in basis for w in basis if lat.inner(u, w) != 0))
-            x = [a + b for a, b in zip(pair[0], pair[1])]
-        gx = exactmat.mat_vec(current, x)
-        diff = [a - b for a, b in zip(x, gx)]
-        if all(d == 0 for d in diff):
-            fixed.append([Fraction(v) for v in x])
-            continue
-        if lat.norm(diff) != 0:
-            apply_left(diff)
-        else:
-            apply_left([a + b for a, b in zip(x, gx)])
-            apply_left([Fraction(v) for v in x])
-        fixed.append([Fraction(v) for v in x])
-    if not exactmat.mat_eq(current, exactmat.identity(n)):
-        raise IsometryError("reflection factorization failed to terminate")
-    # The loop built r_k ... r_1 g = 1, so g = r_1 r_2 ... r_k (involutions).
-    return mirrors
+    return [mirror for mirror, _ in _reflection_factors(g)]
 
 
 def spinor_norm(g: Isometry) -> int:
     """Real spinor norm: sign of the product of -(m, m) over any reflection
     factorization of ``g``.  Returns +1 or -1; +1 for the identity."""
     sign = 1
-    for mirror in cartan_dieudonne(g):
-        if -g.lattice.norm(mirror) < 0:
+    for _, norm in _reflection_factors(g):
+        if norm > 0:
             sign = -sign
     return sign
 
@@ -289,12 +325,14 @@ def catalog_nikulin(name: str) -> Isometry:
 @dataclass(frozen=True)
 class AdmissibleSublattice:
     """An invariant sublattice M of the rank-23 lattice together with the
-    involution realizing it, plus the trace parameter t = tr(iota) + 2."""
+    involution realizing it, the trace parameter t = tr(iota) + 2 and the
+    real spinor norm of iota."""
 
     ambient: Lattice
     sublattice: Sublattice
     iota: Isometry
     t: int
+    spinor_norm: int
 
 
 def make_admissible(iota_k3: Isometry) -> AdmissibleSublattice:
@@ -323,9 +361,10 @@ def make_admissible(iota_k3: Isometry) -> AdmissibleSublattice:
     if not is_hyperbolic(induced):
         raise IsometryError(
             f"invariant lattice has signature {signature(induced)}, not hyperbolic")
-    if spinor_norm(iota) != 1:
+    sign = spinor_norm(iota)
+    if sign != 1:
         raise IsometryError("involution has real spinor norm -1")
     t = int(iota.trace()) + 2
     if t % 2 == 0 or not -19 <= t <= 21:
         raise IsometryError(f"trace parameter t = {t} out of range")
-    return AdmissibleSublattice(ambient=l2, sublattice=fix, iota=iota, t=t)
+    return AdmissibleSublattice(ambient=l2, sublattice=fix, iota=iota, t=t, spinor_norm=sign)

@@ -132,3 +132,23 @@ def test_invariant_factors_unimodular_invariance():
         v = random_unimodular(rng, n)
         transformed = exactmat.mat_mul(exactmat.mat_mul(u, m), v)
         assert exactmat.invariant_factors(transformed) == exactmat.invariant_factors(m)
+
+
+def test_rref_insert_is_order_independent():
+    # The reduced row-echelon basis of a row space is unique, so the
+    # orthocomplement kept by cartan_dieudonne matches a fresh kernel.
+    rng = random.Random(108)
+    for _ in range(40):
+        rows_in = random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -3, 3)
+        bases = []
+        for order in (rows_in, rows_in[::-1]):
+            rows, pivots = [], []
+            for row in order:
+                exactmat.rref_insert(rows, pivots, row)
+            bases.append((rows, pivots))
+        assert bases[0] == bases[1]
+        rows, pivots = bases[0]
+        before = [list(r) for r in rows]
+        combo = [2 * a - b for a, b in zip(rows_in[0], rows_in[-1])]
+        assert not exactmat.rref_insert(rows, pivots, combo)
+        assert rows == before

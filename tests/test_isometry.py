@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import dense_cartan_dieudonne
 
+from ihskit import exactmat
 from ihskit.errors import IsometryError
 from ihskit.lattice import (
     Lattice,
@@ -10,6 +13,7 @@ from ihskit.lattice import (
     build_standard,
     direct_sum,
     is_hyperbolic,
+    signature,
 )
 from ihskit.isometry import (
     Isometry,
@@ -35,6 +39,7 @@ POOL = [
                                 (0, 0, -1, 0), (0, 0, 0, -1))),
     direct_sum(build_standard("U"), build_standard("U")),
 ]
+CATALOG = [build_standard(name) for name in ("E8", "Lambda_4", "Lambda_0")]
 
 
 def random_anisotropic(rng, lat, lo=-3, hi=3):
@@ -47,6 +52,41 @@ def random_anisotropic(rng, lat, lo=-3, hi=3):
 def random_word(rng, lat, max_mirrors=6):
     mirrors = [random_anisotropic(rng, lat) for _ in range(rng.randint(0, max_mirrors))]
     return product_of_reflections(lat, mirrors), mirrors
+
+
+def rational_mirrors(rng, lat, count):
+    out = []
+    while len(out) < count:
+        u, w = random_anisotropic(rng, lat), random_anisotropic(rng, lat)
+        m = tuple(a + Fraction(b, rng.randint(2, 5)) for a, b in zip(u, w))
+        if lat.norm(m) != 0:
+            out.append(m)
+    return out
+
+
+def orthogonal_mirrors(rng, lat, count, lo=-3, hi=3):
+    """Pairwise orthogonal anisotropic mirrors (Gram-Schmidt over Q); the
+    product of their reflections is an involution."""
+    out = []
+    while len(out) < count:
+        v = [Fraction(x) for x in random_anisotropic(rng, lat, lo, hi)]
+        for m in out:
+            c = lat.inner(v, m) / lat.norm(m)
+            v = [a - c * b for a, b in zip(v, m)]
+        if lat.norm(v) != 0:
+            out.append(tuple(v))
+    return out
+
+
+def minus_eigenspace_positive_index(g):
+    """Positive index of the form on the -1 eigenspace of ``g``."""
+    shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
+    basis = []
+    for v in exactmat.fraction_kernel(shifted):
+        scale = math.lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    gram = [[g.lattice.inner(u, w) for w in basis] for u in basis]
+    return signature(Lattice("minus", gram))[0]
 
 
 def test_isometry_validation():
@@ -86,6 +126,63 @@ def test_cartan_dieudonne_roundtrip_exact():
         mirrors = cartan_dieudonne(g)
         assert len(mirrors) <= 2 * lat.rank
         assert product_of_reflections(lat, mirrors).matrix == g.matrix
+
+
+def test_cartan_dieudonne_matches_dense_reference():
+    # Same mirrors, exactly, as the dense O(rank^3)-per-step factorization;
+    # for involutions the spinor norm also matches (-1)^(positive index of
+    # the form on the -1 eigenspace).
+    rng = random.Random(306)
+    cases = []
+    for lat in POOL + CATALOG:
+        for _ in range(4 if lat in POOL else 2):
+            cases.append(random_word(rng, lat)[0])
+            cases.append(product_of_reflections(lat, rational_mirrors(rng, lat, rng.randint(1, 3))))
+            count = rng.randint(1, min(lat.rank, 5))
+            cases.append(product_of_reflections(lat, orthogonal_mirrors(rng, lat, count)))
+    l2 = build_standard("L2")
+    cases.append(product_of_reflections(
+        l2, [random_anisotropic(rng, l2, -1, 1) for _ in range(3)]))
+    cases.append(product_of_reflections(l2, orthogonal_mirrors(rng, l2, 4, -1, 1)))
+    involutions = non_involutions = 0
+    for g in cases:
+        mirrors = cartan_dieudonne(g)
+        assert mirrors == dense_cartan_dieudonne(g)
+        if not mirrors:
+            continue
+        if g.is_involution:
+            involutions += 1
+            assert spinor_norm(g) == (-1) ** minus_eigenspace_positive_index(g)
+        else:
+            non_involutions += 1
+    assert cases[-1].is_involution and not cases[-2].is_involution
+    assert not all(g.is_integral for g in cases)
+    assert involutions >= 20 and non_involutions >= 20
+
+
+def test_cartan_dieudonne_does_no_dense_work(monkeypatch):
+    # The factorization applies reflections as rank-1 updates and keeps the
+    # orthocomplement incrementally: no matrix product, no validated
+    # reflection isometry and no fresh kernel on any step.
+    iota = make_admissible(catalog_nikulin("Zh")).iota
+    calls = {"mat_mul": 0, "fraction_kernel": 0, "Isometry": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(exactmat, "mat_mul", counting("mat_mul", exactmat.mat_mul))
+    monkeypatch.setattr(exactmat, "fraction_kernel",
+                        counting("fraction_kernel", exactmat.fraction_kernel))
+    monkeypatch.setattr(Isometry, "__post_init__",
+                        counting("Isometry", Isometry.__post_init__))
+    mirrors = cartan_dieudonne(iota)
+    assert len(mirrors) == 21
+    assert calls == {"mat_mul": 0, "fraction_kernel": 0, "Isometry": 0}
+    reflection(iota.lattice, mirrors[0])  # the counters see the dense path
+    assert calls["Isometry"] == 1 and calls["mat_mul"] == 2
 
 
 def test_cartan_dieudonne_identity_is_empty():
@@ -210,7 +307,7 @@ def test_make_admissible_zh():
     adm = make_admissible(catalog_nikulin("Zh"))
     assert adm.t == -17
     assert adm.iota.trace() == -19
-    assert spinor_norm(adm.iota) == 1
+    assert spinor_norm(adm.iota) == adm.spinor_norm == 1
     assert adm.sublattice.rank == 2
     assert adm.sublattice.induced().gram == ((2, 0), (0, -2))
     assert is_hyperbolic(adm.sublattice.induced())
