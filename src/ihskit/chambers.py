@@ -14,18 +14,23 @@ wall rays and the two rational isotropic boundary rays.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import exactmat
 from .errors import ChamberError
-from .lattice import Lattice, Sublattice
+from .lattice import Sublattice
 
 NORM_MAIN = -2
 NORM_DEEP = -10
 DEFAULT_BOUND = 50
+# Most prefixes a box scan may visit: rank 4 at the default bound (101^3, a few
+# seconds) fits, rank 5 (101^4, minutes) does not.
+MAX_BOX_PREFIXES = 2_000_000
 
 Vec2 = tuple[int, int]
 
@@ -65,14 +70,21 @@ class DeltaSet:
         return tuple(coords) in self.vectors
 
 
-def _wall_condition(induced: Lattice, m: Sublattice, coords: Sequence[int]) -> int | None:
-    """The norm of a wall vector, or None when ``coords`` is not a wall."""
-    norm = induced.norm(coords)
+def _wall_condition(gram: Sequence[Sequence[int]], m: Sublattice,
+                    coords: Sequence[int]) -> int | None:
+    """The norm of a wall vector, or None when ``coords`` is not a wall.
+
+    ``gram`` is the induced Gram matrix of ``m``."""
+    norm = _norm(gram, coords)
     if norm == NORM_MAIN:
         return NORM_MAIN
     if norm == NORM_DEEP and m.ambient_divisibility(coords) == 2:
         return NORM_DEEP
     return None
+
+
+def _norm(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, [sum(map(operator.mul, row, x)) for row in gram]))
 
 
 def _binary_form_solutions(gram: Sequence[Sequence[int]], target: int) -> list[Vec2] | None:
@@ -128,16 +140,21 @@ def _signed_divisors(n: int) -> list[int]:
 def enumerate_delta(m: Sublattice, bound: int = DEFAULT_BOUND) -> DeltaSet:
     """Enumerate the wall set of ``m`` with a completeness certificate.
 
-    Rank 1, and rank 2 with square discriminant, are solved exactly; any other
-    shape falls back to the coordinate box |x_i| <= bound.
+    Rank 1, and rank 2 with square discriminant, are solved exactly.  Any
+    other shape is searched in the coordinate box |x_i| <= bound and gets a
+    ``bounded(bound)`` certificate.  The box scan visits the
+    (2 bound + 1)^(rank - 1) prefixes of the first rank - 1 coordinates; for
+    each prefix the norm is a quadratic in the last coordinate, whose integer
+    roots in the box are solved exactly.  A box of more than
+    ``MAX_BOX_PREFIXES`` prefixes is refused with a ChamberError.
     """
     if bound < 1:
         raise ChamberError("bound must be positive")
-    induced = m.induced()
+    gram = m.induced().gram
     exact = True
     found: set[tuple[int, ...]] = set()
     if m.rank == 1:
-        g = induced.gram[0][0]
+        g = gram[0][0]
         for target in (NORM_MAIN, NORM_DEEP):
             if target % g == 0 and target // g >= 0:
                 r = math.isqrt(target // g)
@@ -145,21 +162,21 @@ def enumerate_delta(m: Sublattice, bound: int = DEFAULT_BOUND) -> DeltaSet:
                     found.update({(r,), (-r,)})
     elif m.rank == 2:
         for target in (NORM_MAIN, NORM_DEEP):
-            sols = _binary_form_solutions(induced.gram, target)
+            sols = _binary_form_solutions(gram, target)
             if sols is None:
                 exact = False
                 break
             found.update(sols)
         if not exact:
-            found = _box_candidates(m, bound)
+            found = _box_hits(gram, bound)
     else:
         exact = False
-        found = _box_candidates(m, bound)
+        found = _box_hits(gram, bound)
 
     vectors = []
     norms = []
     for coords in sorted(found):
-        norm = _wall_condition(induced, m, coords)
+        norm = _wall_condition(gram, m, coords)
         if norm is not None:
             vectors.append(coords)
             norms.append(norm)
@@ -168,19 +185,45 @@ def enumerate_delta(m: Sublattice, bound: int = DEFAULT_BOUND) -> DeltaSet:
                     completeness=completeness)
 
 
-def _box_candidates(m: Sublattice, bound: int) -> set[tuple[int, ...]]:
-    coords: set[tuple[int, ...]] = set()
+def _box_hits(gram: Sequence[Sequence[int]], bound: int) -> set[tuple[int, ...]]:
+    """The vectors of norm -2 or -10 in the box |x_i| <= bound.
 
-    def rec(prefix: list[int], k: int) -> None:
-        if k == m.rank:
-            if any(prefix):
-                coords.add(tuple(prefix))
-            return
-        for x in range(-bound, bound + 1):
-            rec(prefix + [x], k + 1)
+    With a = G[r-1][r-1], b = sum_i G[r-1][i] x_i and q the norm of the
+    prefix x, the vector (x, t) has norm T exactly when
+    a t^2 + 2 b t + (q - T) = 0.
+    """
+    r = len(gram)
+    prefixes = (2 * bound + 1) ** (r - 1)
+    if prefixes > MAX_BOX_PREFIXES:
+        raise ChamberError(
+            f"box search over (2*{bound}+1)^{r - 1} = {prefixes} prefixes exceeds "
+            f"the limit of {MAX_BOX_PREFIXES}; lower the bound")
+    head = [row[:r - 1] for row in gram[:r - 1]]
+    last = gram[r - 1][:r - 1]
+    a = gram[r - 1][r - 1]
+    hits: set[tuple[int, ...]] = set()
+    for x in itertools.product(range(-bound, bound + 1), repeat=r - 1):
+        q = _norm(head, x)
+        b = sum(map(operator.mul, last, x))
+        for target in (NORM_MAIN, NORM_DEEP):
+            hits.update(x + (t,) for t in _last_coordinates(a, b, q - target, bound))
+    return hits
 
-    rec([], 0)
-    return coords
+
+def _last_coordinates(a: int, b: int, c: int, bound: int) -> Iterable[int]:
+    """The integers t with |t| <= bound and a t^2 + 2 b t + c = 0."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        t, rem = divmod(-c, 2 * b)
+        return (t,) if rem == 0 and abs(t) <= bound else ()
+    disc = b * b - a * c
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return ()
+    return [n // a for n in {-b - s, -b + s} if n % a == 0 and abs(n // a) <= bound]
 
 
 def classify_delta(m: Sublattice, coords: Sequence[int]) -> int:
@@ -195,9 +238,11 @@ def classify_delta(m: Sublattice, coords: Sequence[int]) -> int:
     r = m.rank
     if r < 2:
         raise ChamberError("classification needs M = M0 (+) Ze with rank >= 2")
+    if len(coords) != r:
+        raise ChamberError(f"{tuple(coords)} is not a vector of this rank-{r} sublattice")
     if induced.gram[r - 1][r - 1] != -2 or any(induced.gram[r - 1][j] != 0 for j in range(r - 1)):
         raise ChamberError("last basis vector is not an orthogonal -2 summand")
-    if _wall_condition(induced, m, coords) is None:
+    if _wall_condition(induced.gram, m, coords) is None:
         raise ChamberError(f"{tuple(coords)} is not a wall vector of this sublattice")
     d = list(coords[:r - 1])
     d_norm = sum(d[i] * induced.gram[i][j] * d[j]

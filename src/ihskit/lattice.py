@@ -13,7 +13,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -220,28 +220,51 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def embed(self, coords: Sequence[int]) -> Vector:
-        """Ambient coordinates of a vector given in the sublattice basis."""
+    def _check_coords(self, coords: Sequence[int]) -> None:
         if len(coords) != self.rank:
             raise LatticeError(
                 f"coordinate length {len(coords)} does not match rank {self.rank}")
+
+    def embed(self, coords: Sequence[int]) -> Vector:
+        """Ambient coordinates of a vector given in the sublattice basis."""
+        self._check_coords(coords)
         n = self.ambient.rank
         return tuple(sum(coords[k] * self.basis[k][i] for k in range(self.rank))
                      for i in range(n))
 
     def induced(self, label: str | None = None) -> Lattice:
-        """The sublattice as an abstract lattice (restricted Gram matrix)."""
-        gram = [[self.ambient.inner(u, v) for v in self.basis] for u in self.basis]
+        """The sublattice as an abstract lattice (restricted Gram matrix).
+
+        The label-less lattice is built once per sublattice and then shared.
+        """
         if label is None:
-            label = self.label or f"sub({self.ambient.label})"
-        return Lattice(label, _freeze_gram(gram))
+            return self._induced
+        return Lattice(label, self._induced.gram)
+
+    @cached_property
+    def _induced(self) -> Lattice:
+        gram = [[self.ambient.inner(u, v) for v in self.basis] for u in self.basis]
+        return Lattice(self.label or f"sub({self.ambient.label})", _freeze_gram(gram))
+
+    @cached_property
+    def _pairing_columns(self) -> tuple[Vector, ...]:
+        """Entry [i][k]: the ambient pairing of basis vector k with coordinate vector i."""
+        rows = [[sum(g * x for g, x in zip(row, v)) for row in self.ambient.gram]
+                for v in self.basis]
+        return tuple(zip(*rows))
 
     @property
     def is_primitive(self) -> bool:
         return is_primitive_sublattice(self.ambient, self.basis)
 
     def ambient_divisibility(self, coords: Sequence[int]) -> int:
-        return divisibility(self.ambient, self.embed(coords))
+        """div of the embedded vector, read off the basis pairing rows."""
+        self._check_coords(coords)
+        g = math.gcd(*(sum(c * p for c, p in zip(coords, col))
+                       for col in self._pairing_columns))
+        if g == 0:
+            raise LatticeError("divisibility of the zero vector is undefined")
+        return g
 
 
 # ---------------------------------------------------------------------------

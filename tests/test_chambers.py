@@ -1,9 +1,12 @@
+import itertools
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from box_reference import box_walls
 from ihskit.chambers import (
+    Completeness,
     chamber_orbits,
     chambers_rank2,
     chambers_svg,
@@ -11,7 +14,7 @@ from ihskit.chambers import (
     enumerate_delta,
     is_natural,
 )
-from ihskit.errors import ChamberError
+from ihskit.errors import ChamberError, LatticeError
 from ihskit.lattice import Lattice, Sublattice, build_standard, direct_sum
 
 
@@ -33,18 +36,17 @@ def brute_walls(m, bound):
     divisibility exactly 2, computed straight from the ambient Gram matrix."""
     ambient = m.ambient
     out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if (a, b) == (0, 0):
-                continue
-            v = m.embed((a, b))
-            n = ambient.norm(v)
-            if n == -2:
-                out.append((a, b))
-            elif n == -10:
-                pairings = [sum(g * x for g, x in zip(row, v)) for row in ambient.gram]
-                if gcd(*(abs(p) for p in pairings)) == 2:
-                    out.append((a, b))
+    for coords in itertools.product(range(-bound, bound + 1), repeat=m.rank):
+        if not any(coords):
+            continue
+        v = m.embed(coords)
+        n = ambient.norm(v)
+        if n == -2:
+            out.append(coords)
+        elif n == -10:
+            pairings = [sum(g * x for g, x in zip(row, v)) for row in ambient.gram]
+            if gcd(*(abs(p) for p in pairings)) == 2:
+                out.append(coords)
     return sorted(out)
 
 
@@ -110,7 +112,90 @@ def test_box_fallback_rank3_is_flagged():
     assert delta.completeness.kind == "bounded"
     assert delta.completeness.bound == 3
     # Bounded enumeration still agrees with brute force inside the box.
-    assert all(max(abs(c) for c in v) <= 3 for v in delta.vectors)
+    assert list(delta.vectors) == brute_walls(sub, 3)
+    assert set(delta.norms) == {-2, -10}
+
+
+def _random_box_sublattice(rng, rank):
+    """A random sublattice of L2 whose wall set needs the box search."""
+    l2 = build_standard("L2")
+    while True:
+        basis = []
+        for _ in range(rank):
+            v = [0] * 23
+            for i in rng.sample(range(23), rng.randint(1, 3)):
+                v[i] = rng.choice((-2, -1, 1, 2))
+            basis.append(tuple(v))
+        try:
+            m = Sublattice(l2, tuple(basis))
+            gram = m.induced().gram
+        except LatticeError:
+            continue  # dependent rows or a degenerate induced form
+        if rank == 2:
+            disc = gram[0][1] ** 2 - gram[0][0] * gram[1][1]
+            if disc > 0 and isqrt(disc) ** 2 == disc:
+                continue  # split over Q: solved exactly, not by the box
+        return m
+
+
+def _box_cases():
+    rng = random.Random(20240618)
+    cases = [(_random_box_sublattice(rng, rank), rng.randint(2, 9))
+             for rank in (2,) * 10 + (3,) * 10 + (4,) * 4]
+    l2 = build_standard("L2")
+    f, g, e = unit(23, 16), unit(23, 17), unit(23, 22)
+    eps = unit(23, 0)
+    # Isotropic last basis vector f: a = 0, b = the g coefficient, and a = b = 0
+    # when that coefficient vanishes (then every t solves at prefix norm -2).
+    cases += [(Sublattice(l2, (e, g, f)), 4),
+              (Sublattice(l2, (eps, e, tuple(x + y for x, y in zip(g, eps)), f)), 3)]
+    # Indefinite, with -10 walls of ambient divisibility 2.
+    cases += [(Sublattice(l2, (f, g, e)), 6),
+              (Sublattice(l2, (tuple(x + y for x, y in zip(f, g)), e, eps)), 7)]
+    # E8 simple roots, the shapes of the box-search benchmark jobs.
+    for roots, bound in (((0, 2, 3, 4), 8), ((8, 10, 11, 12), 6), ((1, 3, 4), 12),
+                         ((5, 6), 50)):
+        cases.append((Sublattice(l2, tuple(unit(23, i) for i in roots)), bound))
+    return cases
+
+
+def test_box_scan_matches_reference():
+    saw_deep = saw_isotropic_run = False
+    for m, bound in _box_cases():
+        delta = enumerate_delta(m, bound)
+        assert delta.completeness == Completeness("bounded", bound)
+        assert (delta.vectors, delta.norms) == box_walls(m, bound), (m.basis, bound)
+        saw_deep |= -10 in delta.norms
+        saw_isotropic_run |= (1, 0, 0) in delta and (1, 0, 4) in delta
+    assert saw_deep and saw_isotropic_run
+
+
+def test_box_scan_pairs_no_candidate(monkeypatch):
+    calls = 0
+    inner = Lattice.inner
+
+    def counting(self, x, y):
+        nonlocal calls
+        calls += 1
+        return inner(self, x, y)
+
+    monkeypatch.setattr(Lattice, "inner", counting)
+    l2 = build_standard("L2")
+    m = Sublattice(l2, tuple(unit(23, i) for i in (0, 2, 3, 4)))
+    delta = enumerate_delta(m, bound=8)
+    assert delta.completeness.kind == "bounded"
+    # The r^2 pairings of the induced Gram matrix, then at most one per wall;
+    # a pairing per box candidate would be 17^4 - 1 = 83520.
+    assert m.rank ** 2 <= calls <= len(delta) + m.rank ** 2
+
+
+def test_box_scan_refuses_oversize_box():
+    l2 = build_standard("L2")
+    roots = Sublattice(l2, (unit(23, 0), unit(23, 2)))
+    with pytest.raises(ChamberError, match="2000001 prefixes"):
+        enumerate_delta(roots, bound=10 ** 6)
+    # The exact paths search no box, so the limit does not apply to them.
+    assert enumerate_delta(flagship(), bound=10 ** 9).completeness.kind == "exact"
 
 
 def test_classification_of_walls():

@@ -136,6 +136,19 @@ def test_delta_ambient_in_document(tmp_path):
     assert payload(r)["count"] == 2
 
 
+def test_delta_refuses_oversize_box(tmp_path):
+    # Six E8 simple roots at the default bound 50: 101^5 prefixes to scan.
+    doc = tmp_path / "M6.json"
+    basis = [[1 if j == i else 0 for j in range(23)] for i in range(6)]
+    doc.write_text(json.dumps({"label": "M6", "basis": basis}))
+    r = run(["delta", "enum", "--lattice", str(doc), "--ambient", "L2"])
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    err = json.loads(r.stderr)["error"]
+    assert err["kind"] == "ChamberError"
+    assert str(101 ** 5) in err["message"]
+
+
 def test_chambers_rank2_payload(tmp_path):
     r = run(["chambers", "rank2", "--lattice", write_flagship(tmp_path),
              "--ambient", "L2", "--anchor", "1,0", "--m0", "1,0"])
