@@ -307,6 +307,12 @@ def _isotropic_rays(gram: Sequence[Sequence[int]]) -> list[Vec2]:
     return [_primitive(r) for r in rays]
 
 
+def check_rank2(m: Sublattice) -> None:
+    """Chamber decompositions are defined here for rank-2 sublattices only."""
+    if m.rank != 2:
+        raise ChamberError("chamber decomposition requires a rank-2 sublattice")
+
+
 def chambers_rank2(delta: DeltaSet, anchor: Sequence[int]) -> list[Chamber2]:
     """Chamber decomposition of the anchor's positive cone component.
 
@@ -316,8 +322,7 @@ def chambers_rank2(delta: DeltaSet, anchor: Sequence[int]) -> list[Chamber2]:
     isotropic boundary to the other.
     """
     m = delta.sublattice
-    if m.rank != 2:
-        raise ChamberError("chamber decomposition requires a rank-2 sublattice")
+    check_rank2(m)
     if delta.completeness.kind != "exact":
         raise ChamberError("chamber decomposition requires an exact wall set")
     induced = m.induced()

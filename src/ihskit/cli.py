@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from contextlib import redirect_stderr
 from dataclasses import dataclass
@@ -153,13 +154,8 @@ def _chambers_payload(chams: Sequence[chambers_mod.Chamber2],
 
 
 def _element_terms_payload(element: forms_mod.GradedElement) -> list[dict]:
-    terms = []
-    for mono, coeff in element.terms():
-        factors = [f"{name}^{e}" if e > 1 else name
-                   for name, e in zip(forms_mod.GENERATORS, mono) if e]
-        terms.append({"monomial": "*".join(factors) if factors else "1",
-                      "coeff": coeff})
-    return terms
+    return [{"monomial": forms_mod.monomial_text(mono) or "1", "coeff": coeff}
+            for mono, coeff in element.terms()]
 
 
 def _render_text(payload: Any, indent: int = 0) -> list[str]:
@@ -243,7 +239,6 @@ def _cmd_isometry_factor(args) -> dict:
 def _cmd_isometry_admissible(args) -> dict:
     iota_k3 = isometry_mod.catalog_nikulin(args.m0)
     adm = isometry_mod.make_admissible(iota_k3)
-    induced = adm.sublattice.induced()
     return {
         "m0": args.m0,
         "t": adm.t,
@@ -251,8 +246,8 @@ def _cmd_isometry_admissible(args) -> dict:
         "spinor_norm": adm.spinor_norm,
         "invariant_rank": adm.sublattice.rank,
         "invariant_basis": [list(v) for v in adm.sublattice.basis],
-        "induced_gram": [list(row) for row in induced.gram],
-        "hyperbolic": lattice_mod.is_hyperbolic(induced),
+        "induced_gram": [list(row) for row in adm.sublattice.induced().gram],
+        "hyperbolic": True,  # make_admissible refuses any other invariant lattice
     }
 
 
@@ -272,8 +267,9 @@ def _cmd_delta(args) -> dict:
 
 def _chambers_common(args) -> tuple[chambers_mod.DeltaSet, list[chambers_mod.Chamber2]]:
     sub = _load_sublattice(args.lattice, args.ambient)
-    delta = chambers_mod.enumerate_delta(sub, bound=args.bound)
     anchor = _parse_vec2(args.anchor, "--anchor")
+    chambers_mod.check_rank2(sub)
+    delta = chambers_mod.enumerate_delta(sub)
     return delta, chambers_mod.chambers_rank2(delta, anchor)
 
 
@@ -336,7 +332,7 @@ def _forms_checks(tol: float, which: str) -> list[dict]:
     checks: list[dict] = []
     if which in ("product", "all"):
         report = forms_mod.verify_product_identity()
-        numeric_ok, worst = _product_numeric_check(tol)
+        numeric_ok, worst = _product_numeric_check(report, tol)
         checks.append({
             "name": "weight3_product_identity",
             "passed": report.passed and numeric_ok,
@@ -354,11 +350,11 @@ def _forms_checks(tol: float, which: str) -> list[dict]:
     return checks
 
 
-def _product_numeric_check(tol: float, trials: int = 100) -> tuple[bool, float]:
+def _product_numeric_check(report: forms_mod.ProductIdentityReport, tol: float,
+                           trials: int = 100) -> tuple[bool, float]:
     import random
 
     rng = random.Random(20260823)
-    report = forms_mod.verify_product_identity()
     worst = 0.0
     for _ in range(trials):
         roots = [complex(rng.uniform(-0.1, 0.1)) for _ in range(4)]
@@ -395,8 +391,6 @@ def _cmd_torsion(args) -> dict:
             raise InputError(f"spectra keys must be integer degrees, got {key!r}") from exc
         spectra[q] = _parse_spectrum_doc(value)
     tau = torsion_mod.equivariant_torsion(spectra, args.dim)
-    import math
-
     return {"dim": args.dim, "torsion": tau, "log": math.log(tau)}
 
 
@@ -418,8 +412,6 @@ def _cmd_invariant(args) -> dict:
         a_factor=jsonio.parse_number(doc.get("A", 1), "A"),
     )
     value = torsion_mod.assemble_invariant(ingredients)
-    import math
-
     return {
         "invariant": value,
         "log": math.log(value),
@@ -444,7 +436,7 @@ def _cmd_verify_all(args) -> dict:
     checks.extend(_forms_checks(args.tol, "all"))
 
     sub = _flagship_sublattice()
-    delta = chambers_mod.enumerate_delta(sub, bound=args.bound)
+    delta = chambers_mod.enumerate_delta(sub)
     expected_walls = ((-2, -3), (-2, 3), (0, -1), (0, 1), (2, -3), (2, 3))
     walls_ok = (delta.vectors == expected_walls
                 and delta.completeness.kind == "exact")
@@ -491,14 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "computations with deterministic JSON output.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, bound: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, tol: bool = False) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", default=None, help="write payload to FILE")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="tolerance for numeric oracles")
-        if bound:
-            p.add_argument("--bound", type=int, default=chambers_mod.DEFAULT_BOUND,
-                           help="box bound for non-exact wall enumeration")
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="tolerance for numeric oracles")
 
     p = sub.add_parser("lattice", help="catalog lookup and exact invariants")
     lat_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -529,7 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_de = del_sub.add_parser("enum", help="enumerate the wall set of an embedded sublattice")
     p_de.add_argument("--lattice", required=True, help="embedded sublattice JSON document")
     p_de.add_argument("--ambient", default=None, help="ambient catalog label or inline doc")
-    common(p_de, bound=True)
+    p_de.add_argument("--bound", type=int, default=chambers_mod.DEFAULT_BOUND,
+                      help="box bound for non-exact wall enumeration")
+    common(p_de)
     p_de.set_defaults(handler=_cmd_delta)
 
     p = sub.add_parser("chambers", help="rank-2 chamber decompositions")
@@ -548,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
         if extra == "generators":
             p_ch.add_argument("--generators", required=True,
                               help="JSON document with a 'generators' list of 2x2 matrices")
-        common(p_ch, bound=True)
+        common(p_ch)
         p_ch.set_defaults(handler=handler)
 
     p = sub.add_parser("forms", help="characteristic-form series and identity checks")
@@ -556,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fv = f_sub.add_parser("verify", help="run symbolic identity checks")
     p_fv.add_argument("check", nargs="?", default="all",
                       help="product, tables, or all")
-    common(p_fv)
+    common(p_fv, tol=True)
     p_fv.set_defaults(handler=_cmd_forms_verify)
     p_fe = f_sub.add_parser("expand", help="print a series with sorted monomials")
     p_fe.add_argument("--series", required=True,
@@ -594,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_n.set_defaults(handler=_cmd_numerology)
 
     p_va = sub.add_parser("verify-all", help="run every built-in identity check")
-    common(p_va, bound=True)
+    common(p_va, tol=True)
     p_va.set_defaults(handler=_cmd_verify_all)
     return parser
 

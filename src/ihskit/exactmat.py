@@ -10,6 +10,7 @@ a reduced row-echelon basis in place.
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -242,10 +243,23 @@ def invariant_factors(a: Matrix) -> list[int]:
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 
     The length of the result is the rank of the matrix.
+
+    For a square matrix with d = |det| != 0 the column lattice contains d Z^n,
+    so the elimination works modulo d (symmetric residues) and each pivot is
+    replaced by gcd(pivot, d); a trailing block that reduces to zero gives
+    factors d (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
+    Without the reduction, entries can grow without bound even on small Gram
+    matrices.
     """
     m = [[int(x) for x in row] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    d = abs(det_int(m)) if rows == cols else 0
+
+    def reduce(x: int) -> int:
+        return (x + d // 2) % d - d // 2 if d else x
+
+    m = [[reduce(x) for x in row] for row in m]
     divisors: list[int] = []
     t = 0
     while t < min(rows, cols):
@@ -256,6 +270,8 @@ def invariant_factors(a: Matrix) -> list[int]:
                 if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
+            if d:
+                divisors += [d] * (rows - t)
             break
         i0, j0 = best
         m[t], m[i0] = m[i0], m[t]
@@ -268,7 +284,7 @@ def invariant_factors(a: Matrix) -> list[int]:
                 if m[i][t] != 0:
                     q = m[i][t] // m[t][t]
                     for j in range(t, cols):
-                        m[i][j] -= q * m[t][j]
+                        m[i][j] = reduce(m[i][j] - q * m[t][j])
                     if m[i][t] != 0:
                         m[t], m[i] = m[i], m[t]
                         dirty = True
@@ -276,11 +292,13 @@ def invariant_factors(a: Matrix) -> list[int]:
                 if m[t][j] != 0:
                     q = m[t][j] // m[t][t]
                     for i in range(t, rows):
-                        m[i][j] -= q * m[i][t]
+                        m[i][j] = reduce(m[i][j] - q * m[i][t])
                     if m[t][j] != 0:
                         for row in m:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
+        if d:
+            m[t][t] = math.gcd(m[t][t], d)
         # The pivot must divide every entry of the trailing block.
         offender = None
         for i in range(t + 1, rows):
@@ -289,7 +307,7 @@ def invariant_factors(a: Matrix) -> list[int]:
                 break
         if offender is not None:
             for j in range(t, cols):
-                m[t][j] += m[offender][j]
+                m[t][j] = reduce(m[t][j] + m[offender][j])
             continue
         divisors.append(abs(m[t][t]))
         t += 1

@@ -41,6 +41,12 @@ def _weight(mono: Monomial) -> int:
     return sum(e * w for e, w in zip(mono, WEIGHTS))
 
 
+def monomial_text(mono: Monomial) -> str:
+    """A monomial written as ``c1F^2*c2N``; the empty string for 1."""
+    return "*".join(f"{name}^{e}" if e > 1 else name
+                    for name, e in zip(GENERATORS, mono) if e)
+
+
 class GradedElement:
     """An element of the truncated graded ring, with exact rational coefficients."""
 
@@ -196,9 +202,7 @@ class GradedElement:
             return "0"
         parts = []
         for mono, coeff in self.terms():
-            factors = [f"{name}^{e}" if e > 1 else name
-                       for name, e in zip(GENERATORS, mono) if e]
-            body = "*".join(factors)
+            body = monomial_text(mono)
             if body:
                 parts.append(f"{coeff}*{body}" if coeff != 1 else body)
             else:
@@ -329,12 +333,10 @@ def sigmoid_det_factor(c1: str = "c1N", c2: str = "c2N",
     return _multiplicative_class(scalar_sigmoid(cap), c1, c2, cap)
 
 
-def ch_bundle(c1: str, c2: str, rank: int = 2, dual: bool = False,
+def ch_bundle(c1: str, c2: str, dual: bool = False,
               cap: int = DEFAULT_CAP) -> GradedElement:
     """Chern character of a rank-2 bundle (or its dual) with the given
     Chern-form generators."""
-    if rank != 2:
-        raise IhskitError("only rank-2 bundles are supported")
     return _additive_class(scalar_exp(cap), c1, c2, cap, dual)
 
 

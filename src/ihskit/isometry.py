@@ -18,7 +18,8 @@ from typing import Sequence
 
 from . import exactmat
 from .errors import IsometryError
-from .lattice import Lattice, Sublattice, build_standard, is_hyperbolic, signature
+from .lattice import (Lattice, Sublattice, build_standard, is_2_elementary, is_hyperbolic,
+                      signature)
 
 Matrix = tuple[tuple, ...]
 
@@ -91,28 +92,38 @@ def reflection(lat: Lattice, mirror: Sequence) -> Isometry:
 
     ``mirror`` may have rational coordinates; it must be anisotropic.
     """
-    m = [Fraction(x) for x in mirror]
-    lat._check_vector(m)
-    norm = lat.norm(m)
-    if norm == 0:
-        raise IsometryError("cannot reflect in an isotropic vector")
-    n = lat.rank
-    gram_m = [sum(Fraction(lat.gram[i][j]) * m[j] for j in range(n)) for i in range(n)]
-    cols = []
-    for j in range(n):
-        basis = [Fraction(0)] * n
-        basis[j] = Fraction(1)
-        coeff = 2 * gram_m[j] / norm
-        cols.append([basis[i] - coeff * m[i] for i in range(n)])
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return Isometry(lat, matrix)
+    return product_of_reflections(lat, [mirror])
 
 
 def product_of_reflections(lat: Lattice, mirrors: Sequence[Sequence]) -> Isometry:
-    out = identity_isometry(lat)
+    """The isometry refl(m_1) @ ... @ refl(m_k); the empty word is the identity.
+
+    Mirrors may have rational coordinates; an isotropic one raises
+    ``IsometryError``.  The product is built by rank-1 updates and validated
+    once.
+    """
+    pair = _pairing(lat)
+    factors = []
     for m in mirrors:
-        out = out.compose(reflection(lat, m))
-    return out
+        lat._check_vector(m)
+        factors.append(_mirror(pair, m))
+    return Isometry(lat, _product(lat.rank, factors))
+
+
+def _pairing(lat: Lattice):
+    """The map x -> G x, summing over the nonzero Gram entries only."""
+    gram = [[(j, a) for j, a in enumerate(row) if a] for row in lat.gram]
+    return lambda v: [sum(a * v[j] for j, a in row) for row in gram]
+
+
+def _mirror(pair, mirror: Sequence) -> tuple[list[Fraction], list, Fraction]:
+    """A mirror as (m, G m, (m, m)); an isotropic mirror raises IsometryError."""
+    m = [Fraction(x) for x in mirror]
+    gram_m = pair(m)
+    norm = sum(a * b for a, b in zip(m, gram_m))
+    if norm == 0:
+        raise IsometryError("cannot reflect in an isotropic vector")
+    return m, gram_m, norm
 
 
 def _reflect_rows(matrix: list[list[Fraction]], mirror: Sequence, gram_mirror: Sequence,
@@ -127,29 +138,30 @@ def _reflect_rows(matrix: list[list[Fraction]], mirror: Sequence, gram_mirror: S
             matrix[i] = [x - m * y for x, y in zip(matrix[i], update)]
 
 
+def _product(n: int, factors: Sequence[tuple]) -> list[list[Fraction]]:
+    """refl(m_1) @ ... @ refl(m_k) from ``_mirror`` triples, right factor first."""
+    product = exactmat.mat_fraction(exactmat.identity(n))
+    for mirror, gram_mirror, norm in reversed(factors):
+        _reflect_rows(product, mirror, gram_mirror, norm)
+    return product
+
+
 def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
     """The Cartan-Dieudonne mirrors of ``g`` in list order, each with its
     norm (m, m); see ``cartan_dieudonne``."""
-    lat = g.lattice
-    n = lat.rank
-    gram = [[(j, a) for j, a in enumerate(row) if a] for row in lat.gram]
-
-    def pair(v: Sequence) -> list:
-        return [sum(a * v[j] for j, a in row) for row in gram]
+    n = g.rank
+    pair = _pairing(g.lattice)
 
     def dot(u: Sequence, v: Sequence):
         return sum(a * b for a, b in zip(u, v))
 
     current = [[Fraction(x) for x in row] for row in g.matrix]
-    factors: list[tuple[tuple, list, Fraction]] = []
+    factors: list[tuple[list, list, Fraction]] = []
 
     def apply_left(mirror: list[Fraction]) -> None:
-        gram_mirror = pair(mirror)
-        norm = dot(mirror, gram_mirror)
-        if norm == 0:
-            raise IsometryError("cannot reflect in an isotropic vector")
-        factors.append((tuple(mirror), gram_mirror, norm))
-        _reflect_rows(current, mirror, gram_mirror, norm)
+        factor = _mirror(pair, mirror)
+        factors.append(factor)
+        _reflect_rows(current, *factor)
 
     # Reduced row-echelon basis of the pairing rows G x of the clamped vectors;
     # its kernel is their orthocomplement.
@@ -176,13 +188,9 @@ def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
     if not exactmat.mat_eq(current, exactmat.identity(n)):
         raise IsometryError("reflection factorization failed to terminate")
     # The loop built r_k ... r_1 g = 1, so g = r_1 r_2 ... r_k (involutions).
-    # Rebuild that product from the mirrors alone, right factor first.
-    product = exactmat.mat_fraction(exactmat.identity(n))
-    for mirror, gram_mirror, norm in reversed(factors):
-        _reflect_rows(product, mirror, gram_mirror, norm)
-    if not exactmat.mat_eq(product, g.matrix):
+    if not exactmat.mat_eq(_product(n, factors), g.matrix):
         raise IsometryError("reflection factorization does not reproduce the isometry")
-    return [(mirror, norm) for mirror, _, norm in factors]
+    return [(tuple(mirror), norm) for mirror, _, norm in factors]
 
 
 def cartan_dieudonne(g: Isometry) -> list[tuple]:
@@ -254,7 +262,7 @@ def nikulin_extension(m0: Sublattice, candidate: Sequence[Sequence[int]]) -> Iso
         raise IsometryError("invariant part must be a primitive sublattice")
     if not is_hyperbolic(induced):
         raise IsometryError("invariant part must be hyperbolic")
-    if not all(d == 2 for d in _discriminant(induced)):
+    if not is_2_elementary(induced):
         raise IsometryError("invariant part must be 2-elementary")
     if not exactmat.is_integral(candidate):
         raise IsometryError("candidate involution must be integral")
@@ -264,32 +272,13 @@ def nikulin_extension(m0: Sublattice, candidate: Sequence[Sequence[int]]) -> Iso
     for v in m0.basis:
         if iso.apply(v) != tuple(v):
             raise IsometryError("candidate does not fix the invariant part")
-    pairing = [exactmat.mat_vec(ambient.gram, list(v)) for v in m0.basis]
-    for w in exactmat.fraction_kernel(pairing):
-        if any(a + b != 0 for a, b in zip(iso.apply(w), w)):
-            raise IsometryError("candidate is not -1 on the orthocomplement")
-    fix = invariant_lattice(iso)
-    if not _same_span(fix, m0):
-        raise IsometryError("invariant lattice of the candidate is not the given part")
+    # The +1 eigenspace of an involution has dimension (n + tr) / 2 and is
+    # orthogonal to the -1 eigenspace.  It contains M0 (x) Q, so when the
+    # dimensions agree it is M0 (x) Q, the -1 eigenspace is M0^perp (M0 is
+    # nondegenerate), and the fixed lattice is M0 itself (M0 is primitive).
+    if ambient.rank + iso.trace() != 2 * m0.rank:
+        raise IsometryError("candidate is not -1 on the orthocomplement")
     return iso
-
-
-def _discriminant(lat: Lattice) -> tuple[int, ...]:
-    divisors = exactmat.invariant_factors(lat.gram)
-    return tuple(d for d in divisors if d > 1)
-
-
-def _same_span(a: Sublattice, b: Sublattice) -> bool:
-    def contains(outer: Sublattice, inner: Sublattice) -> bool:
-        rows = [list(v) for v in outer.basis]
-        cols = exactmat.transpose(rows)
-        for v in inner.basis:
-            sol = exactmat.solve_fraction(cols, list(v))
-            if sol is None or any(x.denominator != 1 for x in sol):
-                return False
-        return True
-
-    return contains(a, b) and contains(b, a)
 
 
 def catalog_nikulin(name: str) -> Isometry:
@@ -357,11 +346,13 @@ def make_admissible(iota_k3: Isometry) -> AdmissibleSublattice:
     matrix[n - 1][n - 1] = 1
     iota = Isometry(l2, matrix)
     fix = invariant_lattice(iota)
-    induced = fix.induced(label="M")
-    if not is_hyperbolic(induced):
-        raise IsometryError(
-            f"invariant lattice has signature {signature(induced)}, not hyperbolic")
-    sign = spinor_norm(iota)
+    pos, neg = signature(fix.induced())
+    if (pos, neg) != (1, fix.rank - 1):
+        raise IsometryError(f"invariant lattice has signature {(pos, neg)}, not hyperbolic")
+    # iota is the product of the reflections in an orthogonal basis of its -1
+    # eigenspace M^perp, so its spinor norm is (-1)^(positive index of M^perp)
+    # and that index is pos(L2) - pos(M).
+    sign = (-1) ** (signature(l2)[0] - pos)
     if sign != 1:
         raise IsometryError("involution has real spinor norm -1")
     t = int(iota.trace()) + 2

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -37,6 +37,7 @@ class Lattice:
 
     label: str
     gram: Gram
+    det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gram = _freeze_gram(self.gram)
@@ -50,16 +51,14 @@ class Lattice:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        if exactmat.det_int(gram) == 0:
+        det = exactmat.det_int(gram)
+        if det == 0:
             raise LatticeError("Gram matrix must be nondegenerate")
+        object.__setattr__(self, "det", det)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
-
-    @property
-    def det(self) -> int:
-        return exactmat.det_int(self.gram)
 
     @property
     def is_even(self) -> bool:
@@ -181,18 +180,9 @@ def is_primitive_sublattice(lat: Lattice, basis: Sequence[Sequence[int]]) -> boo
     """True when the Z-span of ``basis`` is saturated in the ambient lattice.
 
     ``basis`` rows must be Z-linearly independent vectors in ambient
-    coordinates; the span is primitive exactly when all invariant factors of
-    the coordinate matrix are 1.
+    coordinates.
     """
-    rows = [list(v) for v in basis]
-    if not rows:
-        raise LatticeError("sublattice basis must be non-empty")
-    for v in rows:
-        lat._check_vector(v)
-    divisors = exactmat.invariant_factors(rows)
-    if len(divisors) != len(rows):
-        raise LatticeError("sublattice basis rows are linearly dependent")
-    return all(d == 1 for d in divisors)
+    return Sublattice(lat, basis).is_primitive
 
 
 @dataclass(frozen=True)
@@ -202,6 +192,9 @@ class Sublattice:
     ambient: Lattice
     basis: tuple[Vector, ...]
     label: str = ""
+    # The span is primitive exactly when all invariant factors of the basis
+    # coordinate matrix are 1.
+    is_primitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         basis = tuple(tuple(int(x) for x in v) for v in self.basis)
@@ -215,6 +208,7 @@ class Sublattice:
         divisors = exactmat.invariant_factors([list(v) for v in basis])
         if len(divisors) != len(basis):
             raise LatticeError("sublattice basis rows are linearly dependent")
+        object.__setattr__(self, "is_primitive", all(d == 1 for d in divisors))
 
     @property
     def rank(self) -> int:
@@ -232,14 +226,10 @@ class Sublattice:
         return tuple(sum(coords[k] * self.basis[k][i] for k in range(self.rank))
                      for i in range(n))
 
-    def induced(self, label: str | None = None) -> Lattice:
-        """The sublattice as an abstract lattice (restricted Gram matrix).
-
-        The label-less lattice is built once per sublattice and then shared.
-        """
-        if label is None:
-            return self._induced
-        return Lattice(label, self._induced.gram)
+    def induced(self) -> Lattice:
+        """The sublattice as an abstract lattice (restricted Gram matrix),
+        built once per sublattice and then shared."""
+        return self._induced
 
     @cached_property
     def _induced(self) -> Lattice:
@@ -252,10 +242,6 @@ class Sublattice:
         rows = [[sum(g * x for g, x in zip(row, v)) for row in self.ambient.gram]
                 for v in self.basis]
         return tuple(zip(*rows))
-
-    @property
-    def is_primitive(self) -> bool:
-        return is_primitive_sublattice(self.ambient, self.basis)
 
     def ambient_divisibility(self, coords: Sequence[int]) -> int:
         """div of the embedded vector, read off the basis pairing rows."""

@@ -47,6 +47,23 @@ def test_lattice_info_big_determinant_encoded_as_string(tmp_path):
     assert payload(r)["det"] == str(2 ** 60)
 
 
+def test_lattice_info_band23_finishes(tmp_path):
+    # A rank-23 band Gram matrix on which the unreduced Smith normal form
+    # never finished.
+    diag = [2, -3, 3, -4, 3, 2, -4, 0, 0, 3, -3, 1, -3, 1, -1, -2, 4, 1, -4, -1, -2, -4, -3]
+    off = [0, -1, 0, -2, 2, 1, -1, 2, -1, -3, -1, -3, 3, -3, 1, -2, -1, 2, 3, 3, -1, 2]
+    band = [[diag[i] if i == j else off[min(i, j)] if abs(i - j) == 1 else 0
+             for j in range(23)] for i in range(23)]
+    doc = tmp_path / "band23.json"
+    doc.write_text(json.dumps({"label": "band23", "gram": band}))
+    r = run(["lattice", "info", "--file", str(doc)])
+    assert r.exit_code == 0
+    p = payload(r)
+    det = int(p["det"])
+    assert det != 0
+    assert math.prod(p["discriminant_group"]) == abs(det)
+
+
 def test_lattice_unknown_name_exit_one():
     r = run(["lattice", "info", "--name", "NOPE"])
     assert r.exit_code == 1
@@ -165,6 +182,26 @@ def test_chambers_bad_anchor_exit_codes(tmp_path):
                 "--anchor", "0,1"]).exit_code == 1  # negative square: domain
     assert run(["chambers", "rank2", "--lattice", m, "--ambient", "L2",
                 "--anchor", "zz"]).exit_code == 2  # unparsable: input
+
+
+@pytest.mark.parametrize("rank", [4, 6])
+def test_chambers_refuse_rank_other_than_two_before_enumerating(rank, tmp_path, monkeypatch):
+    from ihskit import chambers
+
+    calls = []
+    enumerate_delta = chambers.enumerate_delta
+    monkeypatch.setattr(chambers, "enumerate_delta",
+                        lambda *a, **k: calls.append(a) or enumerate_delta(*a, **k))
+    doc = tmp_path / "M.json"
+    basis = [[1 if j == i else 0 for j in range(23)] for i in range(rank)]
+    doc.write_text(json.dumps({"label": "M", "basis": basis}))
+    r = run(["chambers", "rank2", "--lattice", str(doc), "--ambient", "L2",
+             "--anchor", "1,0"])
+    assert r.exit_code == 1
+    assert calls == []
+    err = json.loads(r.stderr)["error"]
+    assert err == {"kind": "ChamberError",
+                   "message": "chamber decomposition requires a rank-2 sublattice"}
 
 
 def test_chambers_orbits(tmp_path):
@@ -293,6 +330,25 @@ def test_out_flag_writes_file(tmp_path):
     r = run(["numerology", "--t", "1", "--out", str(out)])
     assert r.exit_code == 0
     assert json.loads(out.read_text())["chi"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--bound", "5"],
+    ["verify-all", "--bound", "0"],
+    ["chambers", "plot", "--lattice", "M.json", "--anchor", "1,0", "--bound", "5"],
+    ["lattice", "info", "--name", "U", "--tol", "1e-3"],
+    ["numerology", "--t", "1", "--tol", "1e-3"],
+])
+def test_removed_options_exit_two(argv):
+    r = run(argv)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments" in r.stderr
+
+
+def test_tol_kept_where_read():
+    assert run(["forms", "verify", "product", "--tol", "1e-12"]).exit_code == 0
+    assert run(["verify-all", "--tol", "0"]).exit_code == 1
 
 
 def test_unknown_command_exit_two():

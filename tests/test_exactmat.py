@@ -113,9 +113,16 @@ def minor_gcds(m, k):
 def test_invariant_factors_match_determinantal_divisors():
     # Independent route: d_1 ... d_k equals the gcd of the k x k minors.
     rng = random.Random(106)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = random_int_matrix(rng, rows, cols, -5, 5)
+    cases = [random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -5, 5)
+             for _ in range(40)]
+    # Symmetric Gram matrices of size 5 and 6; the first made the unreduced
+    # elimination grow its entries to millions of bits.
+    cases.append([[-8, 1, -6, -6, 2, -1], [1, -4, 0, 6, 5, -2], [-6, 0, -8, -4, -4, 6],
+                  [-6, 6, -4, 8, -1, -2], [2, 5, -4, -1, -6, 4], [-1, -2, 6, -2, 4, -4]])
+    for n in (5, 5, 6, 6):
+        m = random_int_matrix(rng, n, n, -8, 8)
+        cases.append([[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    for m in cases:
         factors = exactmat.invariant_factors(m)
         prod = 1
         for k, f in enumerate(factors, start=1):

@@ -146,11 +146,6 @@ def test_equivariant_series_are_products():
         ch_bundle("c1F", "c2F", dual=True) - ch_bundle("c1N", "c2N", dual=True))
 
 
-def test_rank_other_than_two_rejected():
-    with pytest.raises(IhskitError):
-        ch_bundle("c1F", "c2F", rank=3)
-
-
 # ---------------------------------------------------------------------------
 # Frozen low-weight tables
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from dense_reference import dense_cartan_dieudonne
 
-from ihskit import exactmat
+from ihskit import exactmat, isometry
 from ihskit.errors import IsometryError
 from ihskit.lattice import (
     Lattice,
@@ -301,6 +301,53 @@ def test_nikulin_extension_rejects_non_involution():
     m0 = Sublattice(lk3, (h,), label="Zh")
     with pytest.raises(IsometryError):
         nikulin_extension(m0, identity_isometry(lk3).matrix)
+
+
+def _lk3_involution_candidates():
+    """Integral isometries of LK3 that fix h = f + g but are not the Zh
+    involution, each with the reason it must be refused."""
+    lk3 = build_standard("LK3")
+    n = lk3.rank
+    zh = catalog_nikulin("Zh")
+    root = tuple(1 if i == 0 else 0 for i in range(n))
+    adjacent = tuple(1 if i == 2 else 0 for i in range(n))
+    return {
+        "minus identity": tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)),
+        "identity": identity_isometry(lk3).matrix,
+        "order three": product_of_reflections(lk3, [root, adjacent]).matrix,
+        "U involution": catalog_nikulin("U").matrix,
+        "+1 on an E8 root": zh.compose(reflection(lk3, root)).matrix,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_lk3_involution_candidates()))
+def test_nikulin_extension_rejects_bad_candidates(name):
+    lk3 = build_standard("LK3")
+    h = tuple(1 if i in (16, 17) else 0 for i in range(lk3.rank))
+    m0 = Sublattice(lk3, (h,), label="Zh")
+    with pytest.raises(IsometryError):
+        nikulin_extension(m0, _lk3_involution_candidates()[name])
+
+
+def test_make_admissible_reads_the_spinor_sign_without_factoring(monkeypatch):
+    # The sign comes from signatures: no reflection factorization, no
+    # rational kernel and no linear solve.
+    calls = {"_reflection_factors": 0, "fraction_kernel": 0, "solve_fraction": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((isometry, "_reflection_factors"), (exactmat, "fraction_kernel"),
+                         (exactmat, "solve_fraction")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    adms = [make_admissible(catalog_nikulin(m0)) for m0 in ("Zh", "U")]
+    assert calls == {"_reflection_factors": 0, "fraction_kernel": 0, "solve_fraction": 0}
+    monkeypatch.undo()
+    for adm in adms:
+        assert adm.spinor_norm == spinor_norm(adm.iota) == 1  # the factorization oracle
 
 
 def test_make_admissible_zh():
