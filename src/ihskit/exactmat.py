@@ -1,10 +1,16 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Everything in this package works with lattices of rank at most 23, so the
 implementations below favour exactness and clarity over asymptotics.  Matrices
-are sequences of rows; entries are Python ints or fractions.Fraction.  All
-functions are pure and return fresh lists, except ``rref_insert``, which grows
-a reduced row-echelon basis in place.
+are sequences of rows; entries are Python ints or fractions.Fraction.  A
+matrix that is mostly zeros can also be given by its ``sparse_rows``.
+
+The reduced row-echelon basis kept by ``rref_insert`` (which grows it in
+place) and read by ``rref_kernel`` is fraction-free: every rational row or
+vector is a list of integers over one positive common denominator, divided
+by their gcd whenever it is stored or returned, as in integer-preserving
+elimination (Bareiss, Math. Comp. 22, 1968).  All other functions are pure
+and return fresh lists.
 """
 
 from __future__ import annotations
@@ -103,77 +109,85 @@ def det_fraction(a: Matrix) -> Fraction:
     return det
 
 
-def rref_insert(rows: list[list[Fraction]], pivots: list[int], row: Row) -> bool:
-    """Add ``row`` to a reduced row-echelon basis, in place.
+def sparse_rows(a: Matrix) -> list[list[tuple[int, object]]]:
+    """The nonzero entries (j, a[i][j]) of each row i of ``a``."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
 
-    ``rows`` are the basis rows, each with a 1 in its pivot column and 0 in
-    every other row's pivot column; ``pivots`` lists those columns in
-    ascending order.  Returns False, leaving the basis unchanged, when
-    ``row`` already lies in its span.  The reduced basis of a row space is
-    unique, so the result does not depend on the insertion order.
+
+def sparse_mat_mul(a: Sequence[Sequence[tuple]],
+                   b: Sequence[Sequence[tuple]]) -> list[list[tuple]]:
+    """The product of two matrices given as ``sparse_rows``, in the same form."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(sorted((j, v) for j, v in acc.items() if v))
+    return out
+
+
+def _primitive(v: list[int], lead: int) -> list[int]:
+    """``v`` divided by the gcd of its entries, with the sign that makes the
+    entry at index ``lead`` positive."""
+    g = math.gcd(*v)
+    if v[lead] < 0:
+        g = -g
+    return v if g == 1 else [x // g for x in v]
+
+
+def rref_insert(rows: list[list[int]], pivots: list[int], row: Row) -> bool:
+    """Add the integer ``row`` to a reduced row-echelon basis, in place.
+
+    Each basis row is a primitive integer vector whose entry in its own pivot
+    column is positive and whose entries in the other rows' pivot columns are
+    0; divided by its pivot entry it is the rational reduced row.  ``pivots``
+    lists those columns in ascending order.  Returns False, leaving the basis
+    unchanged, when ``row`` already lies in its span.  The reduced basis of a
+    row space is unique, so the result does not depend on the insertion order
+    or on the scale of ``row``.
     """
-    row = [Fraction(x) for x in row]
+    row = list(row)
     for basis_row, c in zip(rows, pivots):
         factor = row[c]
         if factor:
-            row = [x - factor * y for x, y in zip(row, basis_row)]
+            den = basis_row[c]
+            row = [den * x - factor * y for x, y in zip(row, basis_row)]
     pivot = next((c for c, x in enumerate(row) if x), None)
     if pivot is None:
         return False
-    inv = 1 / row[pivot]
-    row = [x * inv for x in row]
-    for basis_row in rows:
+    row = _primitive(row, pivot)
+    den = row[pivot]
+    for i, basis_row in enumerate(rows):
         factor = basis_row[pivot]
         if factor:
-            basis_row[:] = [x - factor * y for x, y in zip(basis_row, row)]
+            rows[i] = _primitive([den * x - factor * y for x, y in zip(basis_row, row)],
+                                pivots[i])
     k = bisect.bisect(pivots, pivot)
     pivots.insert(k, pivot)
     rows.insert(k, row)
     return True
 
 
-def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> list[list[Fraction]]:
-    """Basis of the right null space of a reduced row-echelon basis: one
-    vector per free column, in ascending order, with a 1 in that column."""
+def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> list[tuple[list[int], int]]:
+    """Basis of the right null space of a reduced row-echelon basis kept by
+    ``rref_insert``: one vector per free column, in ascending order, with a 1
+    in that column.  Each vector is returned as (integer entries, positive
+    common denominator) with gcd(den, *entries) = 1."""
     basis = []
     pivot_set = set(pivots)
     for c in range(cols):
         if c in pivot_set:
             continue
-        vec = [Fraction(0)] * cols
-        vec[c] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[c]
-        basis.append(vec)
+        used = [(row, p) for row, p in zip(rows, pivots) if row[c]]
+        den = math.lcm(*(row[p] for row, p in used))
+        vec = [0] * cols
+        vec[c] = den
+        for row, p in used:
+            vec[p] = -row[c] * (den // row[p])
+        g = math.gcd(*vec)
+        basis.append(([x // g for x in vec], den // g))
     return basis
-
-
-def solve_fraction(a: Matrix, rhs: Row) -> list[Fraction] | None:
-    """Solve a x = rhs over Q; None when inconsistent.
-
-    For underdetermined consistent systems an arbitrary particular solution is
-    returned (free variables set to zero).
-    """
-    cols = len(a[0]) if len(a) else 0
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row, b in zip(a, rhs):
-        rref_insert(rows, pivots, [*row, b])
-    if cols in pivots:  # a pivot in the right-hand side column reads 0 = 1
-        return None
-    x = [Fraction(0)] * cols
-    for row, c in zip(rows, pivots):
-        x[c] = row[cols]
-    return x
-
-
-def fraction_kernel(a: Matrix) -> list[list[Fraction]]:
-    """Basis of the right null space of a over Q (rows of the result)."""
-    rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in a:
-        rref_insert(rows, pivots, row)
-    return rref_kernel(rows, pivots, len(a[0]) if len(a) else 0)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -244,17 +258,28 @@ def invariant_factors(a: Matrix) -> list[int]:
 
     The length of the result is the rank of the matrix.
 
-    For a square matrix with d = |det| != 0 the column lattice contains d Z^n,
-    so the elimination works modulo d (symmetric residues) and each pivot is
+    When the matrix (transposed if it has more rows than columns) has full
+    row rank r, pick a nonzero r x r minor d: the r columns at the pivots of
+    its row-echelon form.  The column lattice then contains d Z^r, so the
+    elimination works modulo d (symmetric residues) and each pivot is
     replaced by gcd(pivot, d); a trailing block that reduces to zero gives
-    factors d (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).
-    Without the reduction, entries can grow without bound even on small Gram
-    matrices.
+    factors d (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  For a
+    square matrix the minor is the determinant.  Without the reduction,
+    entries can grow without bound even on small matrices, so a
+    rank-deficient input, which has no such minor, can take very long.
     """
     m = [[int(x) for x in row] for row in a]
+    if m and len(m) > len(m[0]):
+        m = transpose(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    d = abs(det_int(m)) if rows == cols else 0
+    pivots = list(range(cols))
+    if rows < cols:
+        echelon: list[list[int]] = []
+        pivots = []
+        for row in m:
+            rref_insert(echelon, pivots, row)
+    d = abs(det_int([[row[j] for j in pivots] for row in m])) if len(pivots) == rows else 0
 
     def reduce(x: int) -> int:
         return (x + d // 2) % d - d // 2 if d else x

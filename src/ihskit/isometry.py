@@ -12,6 +12,7 @@ reflection factorization ``[m_1, ..., m_k]`` means the matrix product
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,8 +30,11 @@ def _freeze_matrix(matrix: Sequence[Sequence]) -> Matrix:
     for row in matrix:
         frozen = []
         for x in row:
-            f = Fraction(x)
-            frozen.append(int(f) if f.denominator == 1 else f)
+            if type(x) is not int:
+                x = Fraction(x)
+                if x.denominator == 1:
+                    x = x.numerator
+            frozen.append(x)
         out.append(tuple(frozen))
     return tuple(out)
 
@@ -53,9 +57,11 @@ class Isometry:
         n = self.lattice.rank
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise IsometryError(f"matrix must be {n}x{n} for this lattice")
-        gram = self.lattice.gram
-        mt = exactmat.transpose(matrix)
-        if not exactmat.mat_eq(exactmat.mat_mul(exactmat.mat_mul(mt, gram), matrix), gram):
+        gram = self.lattice.sparse_gram
+        columns = exactmat.sparse_rows(exactmat.transpose(matrix))
+        image = exactmat.sparse_mat_mul(exactmat.sparse_mat_mul(columns, gram),
+                                        exactmat.sparse_rows(matrix))
+        if image != gram:
             raise IsometryError("matrix does not preserve the Gram form")
 
     @property
@@ -79,8 +85,8 @@ class Isometry:
 
     @property
     def is_involution(self) -> bool:
-        prod = exactmat.mat_mul(self.matrix, self.matrix)
-        return exactmat.mat_eq(prod, exactmat.identity(self.rank))
+        rows = exactmat.sparse_rows(self.matrix)
+        return exactmat.sparse_mat_mul(rows, rows) == [[(i, 1)] for i in range(self.rank)]
 
 
 def identity_isometry(lat: Lattice) -> Isometry:
@@ -99,51 +105,79 @@ def product_of_reflections(lat: Lattice, mirrors: Sequence[Sequence]) -> Isometr
     """The isometry refl(m_1) @ ... @ refl(m_k); the empty word is the identity.
 
     Mirrors may have rational coordinates; an isotropic one raises
-    ``IsometryError``.  The product is built by rank-1 updates and validated
-    once.
+    ``IsometryError``.  The product is built by the integer rank-1 updates
+    of ``_product`` and validated once.
     """
     pair = _pairing(lat)
     factors = []
     for m in mirrors:
         lat._check_vector(m)
-        factors.append(_mirror(pair, m))
-    return Isometry(lat, _product(lat.rank, factors))
+        numerators = _scaled([[Fraction(x) for x in m]])[0][0]
+        factors.append(_mirror(pair, numerators))
+    matrix, den = _product(lat.rank, factors)
+    if den != 1:
+        matrix = [[Fraction(x, den) for x in row] for row in matrix]
+    return Isometry(lat, matrix)
+
+
+def _scaled(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """A rational matrix as (integer entries, least positive common denominator)."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in matrix], den
 
 
 def _pairing(lat: Lattice):
     """The map x -> G x, summing over the nonzero Gram entries only."""
-    gram = [[(j, a) for j, a in enumerate(row) if a] for row in lat.gram]
+    gram = lat.sparse_gram
     return lambda v: [sum(a * v[j] for j, a in row) for row in gram]
 
 
-def _mirror(pair, mirror: Sequence) -> tuple[list[Fraction], list, Fraction]:
-    """A mirror as (m, G m, (m, m)); an isotropic mirror raises IsometryError."""
-    m = [Fraction(x) for x in mirror]
-    gram_m = pair(m)
-    norm = sum(a * b for a, b in zip(m, gram_m))
+def _mirror(pair, mirror: list[int]) -> tuple[list[int], list[int], int]:
+    """An integer mirror as (m, G m, (m, m)); an isotropic mirror raises
+    IsometryError.  A reflection does not change when its mirror is scaled,
+    so a rational mirror enters through its numerators."""
+    gram_m = pair(mirror)
+    norm = sum(a * b for a, b in zip(mirror, gram_m))
     if norm == 0:
         raise IsometryError("cannot reflect in an isotropic vector")
-    return m, gram_m, norm
+    return mirror, gram_m, norm
 
 
-def _reflect_rows(matrix: list[list[Fraction]], mirror: Sequence, gram_mirror: Sequence,
-                  norm: Fraction) -> None:
-    """Replace ``matrix`` by refl(mirror) @ matrix in place, as the rank-1
-    update matrix -= mirror (x) (2 (G mirror)^T matrix / (mirror, mirror))."""
-    scale = 2 / norm
-    terms = [(scale * c, row) for c, row in zip(gram_mirror, matrix) if c]
-    update = [sum(c * row[j] for c, row in terms) for j in range(len(matrix))]
+def _reflect_rows(matrix: list[list[int]], den: int, mirror: Sequence[int],
+                  gram_mirror: Sequence[int], norm: int) -> int:
+    """Replace the rational matrix ``matrix / den`` by refl(mirror) @ (matrix
+    / den), in place, and return the new denominator.
+
+    refl(m) = 1 - m (x) 2 (G m)^T / N with N = (m, m), so the integer update
+    is matrix <- |N| matrix - sgn(N) m (x) 2 (G m)^T matrix over |N| den,
+    followed by division by gcd(den, *entries).
+    """
+    scale = abs(norm)
+    two = 2 if norm > 0 else -2
+    update = [0] * len(matrix)
+    for c, row in zip(gram_mirror, matrix):
+        if c:
+            update = [u + two * c * x for u, x in zip(update, row)]
     for i, m in enumerate(mirror):
-        if m:
-            matrix[i] = [x - m * y for x, y in zip(matrix[i], update)]
+        row = matrix[i]
+        matrix[i] = ([scale * x - m * y for x, y in zip(row, update)] if m
+                     else [scale * x for x in row])
+    den *= scale
+    g = math.gcd(den, *(math.gcd(*row) for row in matrix))
+    if g > 1:
+        for i, row in enumerate(matrix):
+            matrix[i] = [x // g for x in row]
+    return den // g
 
 
-def _product(n: int, factors: Sequence[tuple]) -> list[list[Fraction]]:
-    """refl(m_1) @ ... @ refl(m_k) from ``_mirror`` triples, right factor first."""
-    product = exactmat.mat_fraction(exactmat.identity(n))
-    for mirror, gram_mirror, norm in reversed(factors):
-        _reflect_rows(product, mirror, gram_mirror, norm)
-    return product
+def _product(n: int, factors: Sequence[tuple]) -> tuple[list[list[int]], int]:
+    """refl(m_1) @ ... @ refl(m_k) from ``_mirror`` triples, right factor
+    first, as (integer entries, positive common denominator)."""
+    product = exactmat.identity(n)
+    den = 1
+    for factor in reversed(factors):
+        den = _reflect_rows(product, den, *factor)
+    return product, den
 
 
 def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
@@ -155,42 +189,49 @@ def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
     def dot(u: Sequence, v: Sequence):
         return sum(a * b for a, b in zip(u, v))
 
-    current = [[Fraction(x) for x in row] for row in g.matrix]
-    factors: list[tuple[list, list, Fraction]] = []
+    # The reduced isometry is current / den; a mirror is (numerators, den).
+    target = _scaled(g.matrix)
+    current, den = list(target[0]), target[1]
+    factors: list[tuple[tuple, int]] = []
 
-    def apply_left(mirror: list[Fraction]) -> None:
+    def apply_left(mirror: list[int], mirror_den: int) -> None:
+        nonlocal den
         factor = _mirror(pair, mirror)
-        factors.append(factor)
-        _reflect_rows(current, *factor)
+        factors.append((factor, mirror_den))
+        den = _reflect_rows(current, den, *factor)
 
     # Reduced row-echelon basis of the pairing rows G x of the clamped vectors;
     # its kernel is their orthocomplement.
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     pivots: list[int] = []
     while len(rows) < n:
         basis = exactmat.rref_kernel(rows, pivots, n)
-        x = next((w for w in basis if dot(w, pair(w)) != 0), None)
+        x = next(((w, d) for w, d in basis if dot(w, pair(w)) != 0), None)
         if x is None:
             # Nondegenerate subspace of isotropic basis vectors: some pair
             # pairs nontrivially and their sum is anisotropic.
-            u, w = next((u, w) for u in basis for w in basis if dot(u, pair(w)) != 0)
-            x = [a + b for a, b in zip(u, w)]
+            (u, du), (w, dw) = next((u, w) for u in basis for w in basis
+                                    if dot(u[0], pair(w[0])) != 0)
+            x = [a * dw + b * du for a, b in zip(u, w)], du * dw
+        x, x_den = x
+        # g(x) = current x / (den x_den); scale x - g(x) and x + g(x) by den x_den.
         support = [(j, v) for j, v in enumerate(x) if v]
         gx = [sum(row[j] * v for j, v in support) for row in current]
-        diff = [a - b for a, b in zip(x, gx)]
+        diff = [den * a - b for a, b in zip(x, gx)]
         if any(diff):
             if dot(diff, pair(diff)) != 0:
-                apply_left(diff)
+                apply_left(diff, den * x_den)
             else:
-                apply_left([a + b for a, b in zip(x, gx)])
-                apply_left(x)
+                apply_left([den * a + b for a, b in zip(x, gx)], den * x_den)
+                apply_left(x, x_den)
         exactmat.rref_insert(rows, pivots, pair(x))
-    if not exactmat.mat_eq(current, exactmat.identity(n)):
+    if den != 1 or current != exactmat.identity(n):
         raise IsometryError("reflection factorization failed to terminate")
     # The loop built r_k ... r_1 g = 1, so g = r_1 r_2 ... r_k (involutions).
-    if not exactmat.mat_eq(_product(n, factors), g.matrix):
+    if _product(n, [factor for factor, _ in factors]) != target:
         raise IsometryError("reflection factorization does not reproduce the isometry")
-    return [(tuple(mirror), norm) for mirror, _, norm in factors]
+    return [(tuple(Fraction(a, d) for a in mirror), Fraction(norm, d * d))
+            for (mirror, _, norm), d in factors]
 
 
 def cartan_dieudonne(g: Isometry) -> list[tuple]:
@@ -204,14 +245,20 @@ def cartan_dieudonne(g: Isometry) -> list[tuple]:
     to x, otherwise x + g(x) is anisotropic (the two norms add up to 4 (x, x))
     and s_x composed with s_{x + g(x)} does the job.
 
-    Each step costs O(rank^2) exact operations: a reflection is applied as a
-    rank-1 update, the pairing row G x of the clamped vector is added once to
-    a reduced row-echelon basis whose kernel is the orthocomplement, and
+    Each step costs O(rank^2) exact integer operations.  Every rational
+    vector and matrix is carried fraction-free, as integer entries over one
+    positive common denominator divided by their gcd after each update:
+    each reflection is a rank-1 update (``_reflect_rows``), the pairing row
+    G x of the clamped vector is added once to a reduced row-echelon basis
+    (``exactmat.rref_insert``) whose kernel is the orthocomplement, and
     pairings use only the nonzero Gram entries.  (A step whose complement
-    basis is all isotropic searches its pairs, O(rank^3).)  Two runtime
-    checks guard the result: the reduced isometry must end as the identity,
-    and the product of the emitted reflections, rebuilt by rank-1 updates,
-    must equal ``g``.  An isotropic mirror raises ``IsometryError``.
+    basis is all isotropic searches its pairs, O(rank^3).)  Scaling changes
+    neither a reflection nor the reduced basis, so the mirrors are those of
+    the same algorithm over Q; a ``Fraction`` is built only for the returned
+    mirrors.  Two runtime checks guard the result: the reduced isometry must
+    end as exactly the identity over the denominator 1, and the product of
+    the emitted reflections, rebuilt by the same integer updates, must equal
+    ``g``.  An isotropic mirror raises ``IsometryError``.
     """
     return [mirror for mirror, _ in _reflection_factors(g)]
 

@@ -7,12 +7,15 @@ Conventions used by every document this package reads or writes:
 * integers with magnitude above 2**53 are encoded as decimal strings (smaller
   integers stay native JSON numbers);
 * all emitted documents are byte-for-byte deterministic: key order is fixed by
-  construction order and floats go through ``repr``-stable ``json.dumps``.
+  construction order and floats go through ``repr``-stable ``json.dumps``;
+* numbers are finite both ways: ``parse_number`` refuses NaN and infinities
+  and ``dumps_payload`` refuses to write them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -44,7 +47,9 @@ def encode_value(value: Any) -> Any:
 
 
 def dumps_payload(payload: Any) -> str:
-    return json.dumps(encode_value(payload), indent=2, ensure_ascii=True)
+    """Strict JSON: a NaN or infinite float raises ValueError instead of
+    printing a token that JSON does not have."""
+    return json.dumps(encode_value(payload), indent=2, ensure_ascii=True, allow_nan=False)
 
 
 def parse_int(value: Any, what: str = "integer") -> int:
@@ -75,14 +80,16 @@ def parse_rational(value: Any, what: str = "rational") -> Fraction:
 
 
 def parse_number(value: Any, what: str = "number") -> float:
+    """A finite float; NaN, +-inf and rationals beyond the float range are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str, dict)):
         raise InputError(f"expected {what}, got {value!r}")
-    if isinstance(value, dict):
-        return float(parse_rational(value, what))
     try:
-        return float(value)
-    except ValueError as exc:
+        number = float(parse_rational(value, what) if isinstance(value, dict) else value)
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"expected {what}, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise InputError(f"expected a finite {what}, got {value!r}")
+    return number
 
 
 def parse_int_vector(value: Any, what: str = "vector") -> tuple[int, ...]:

@@ -64,6 +64,11 @@ class Lattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
+    @cached_property
+    def sparse_gram(self) -> list[list[tuple[int, int]]]:
+        """The nonzero entries (j, G[i][j]) of each Gram row i."""
+        return exactmat.sparse_rows(self.gram)
+
     def _check_vector(self, v: Sequence) -> None:
         if len(v) != self.rank:
             raise LatticeError(
@@ -205,9 +210,11 @@ class Sublattice:
             raise LatticeError("sublattice rank exceeds ambient rank")
         for v in basis:
             self.ambient._check_vector(v)
-        divisors = exactmat.invariant_factors([list(v) for v in basis])
-        if len(divisors) != len(basis):
+        echelon: list[list[int]] = []
+        pivots: list[int] = []
+        if not all(exactmat.rref_insert(echelon, pivots, v) for v in basis):
             raise LatticeError("sublattice basis rows are linearly dependent")
+        divisors = exactmat.invariant_factors([list(v) for v in basis])
         object.__setattr__(self, "is_primitive", all(d == 1 for d in divisors))
 
     @property

@@ -64,10 +64,14 @@ def zeta_prime_zero(spectrum: WeightedSpectrum) -> float:
     w * a^-s * zeta_R(p s) differentiates to w * (log(a)/2 - p log(2 pi)/2).
     """
     if isinstance(spectrum, FiniteSpectrum):
-        return -sum(w * math.log(l) for l, w in spectrum.entries)
-    if isinstance(spectrum, PowerSpectrum):
-        return spectrum.w * (0.5 * math.log(spectrum.a) - 0.5 * spectrum.p * LOG_2PI)
-    raise TorsionError(f"unknown spectrum type {type(spectrum).__name__}")
+        value = -sum(w * math.log(l) for l, w in spectrum.entries)
+    elif isinstance(spectrum, PowerSpectrum):
+        value = spectrum.w * (0.5 * math.log(spectrum.a) - 0.5 * spectrum.p * LOG_2PI)
+    else:
+        raise TorsionError(f"unknown spectrum type {type(spectrum).__name__}")
+    if not math.isfinite(value):
+        raise TorsionError(f"zeta'(0) is not a finite float ({value!r})")
+    return value
 
 
 def equivariant_torsion(spectra: Mapping[int, WeightedSpectrum], dim: int) -> float:
@@ -84,7 +88,19 @@ def equivariant_torsion(spectra: Mapping[int, WeightedSpectrum], dim: int) -> fl
     acc = 0.0
     for q, spectrum in spectra.items():
         acc += (-1) ** q * q * zeta_prime_zero(spectrum)
-    return math.exp(-acc)
+    return _positive_float(lambda: math.exp(-acc), "equivariant torsion")
+
+
+def _positive_float(compute, what: str) -> float:
+    """The value of ``compute()``; TorsionError when it overflows, underflows
+    to 0 or is not a number, so that no caller takes the log of 0 or inf."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise TorsionError(f"{what} is not a positive finite float ({value!r})")
+    return value
 
 
 def quillen_combination(tau_g: float, l2_plus: float, l2_minus: float) -> float:
@@ -320,9 +336,9 @@ def assemble_invariant(ingredients: TorsionIngredients) -> float:
     fixed-locus torsion and volume, times the degree-1 lattice covolume."""
     i = ingredients
     exponent = float(numerology(i.t).exp_vol)
-    return (i.tau_iota
-            * i.vol_x ** exponent
-            * i.a_factor
-            * i.tau_o_fix ** -2
-            * i.vol_fix ** -2
-            * i.vol_l2_h1)
+    return _positive_float(lambda: (i.tau_iota
+                                    * i.vol_x ** exponent
+                                    * i.a_factor
+                                    * i.tau_o_fix ** -2
+                                    * i.vol_fix ** -2
+                                    * i.vol_l2_h1), "invariant")

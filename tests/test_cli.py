@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -166,6 +167,24 @@ def test_delta_refuses_oversize_box(tmp_path):
     assert str(101 ** 5) in err["message"]
 
 
+def test_delta_refuses_rank_deficient_basis_quickly(tmp_path):
+    # Seven rows of rank 6: a JSON LatticeError, not a Smith normal form
+    # that runs for minutes.
+    rows = [[-4, -6, -4, 1, -6, 5], [0, -1, 4, 3, 2, 2], [3, 2, 0, -2, -3, 3],
+            [-2, -1, -3, 3, 0, -3], [-1, 3, -3, 6, -1, -5], [-6, -2, 2, -3, 1, -6],
+            [-1, -1, -4, 6, 2, 1]]
+    doc = tmp_path / "M7.json"
+    doc.write_text(json.dumps({"label": "M7", "basis": [row + [0] * 17 for row in rows]}))
+    start = time.perf_counter()
+    r = run(["delta", "enum", "--lattice", str(doc), "--ambient", "L2"])
+    assert time.perf_counter() - start < 2.0
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    err = json.loads(r.stderr)["error"]
+    assert err == {"kind": "LatticeError",
+                   "message": "sublattice basis rows are linearly dependent"}
+
+
 def test_chambers_rank2_payload(tmp_path):
     r = run(["chambers", "rank2", "--lattice", write_flagship(tmp_path),
              "--ambient", "L2", "--anchor", "1,0", "--m0", "1,0"])
@@ -298,6 +317,40 @@ def test_invariant_assemble(tmp_path):
 
     ing.write_text(json.dumps({"tau_iota": 1.0}))
     assert run(["invariant", "assemble", "--ingredients", str(ing)]).exit_code == 2
+
+
+ING = {"tau_iota": 1.5, "vol_X": 2.0, "tau_O_fix": 0.7, "vol_fix": 1.1,
+       "vol_L2_H1": 0.9, "t": 5}
+
+
+@pytest.mark.parametrize("command, flag, doc, code, kind", [
+    # Non-finite input numbers: input errors.
+    (["invariant", "assemble"], "ingredients", dict(ING, tau_iota="nan"), 2, "input"),
+    (["invariant", "assemble"], "ingredients", dict(ING, vol_X="-Infinity"), 2, "input"),
+    (["invariant", "assemble"], "ingredients",
+     dict(ING, vol_fix={"num": "1" + "0" * 400, "den": "1"}), 2, "input"),
+    (["torsion", "eq"], "spectra", {"1": {"kind": "finite", "entries": [["inf", 1]]}},
+     2, "input"),
+    (["zeta", "dzeta"], "spectrum", {"kind": "power", "a": "nan", "p": 2, "w": 1}, 2, "input"),
+    # Finite input whose result leaves the float range: domain errors.
+    (["invariant", "assemble"], "ingredients", dict(ING, tau_iota=1e300, tau_O_fix=1e-200),
+     1, "TorsionError"),
+    (["invariant", "assemble"], "ingredients", dict(ING, tau_iota=1e-300, tau_O_fix=1e200),
+     1, "TorsionError"),
+    (["torsion", "eq"], "spectra", {"2": {"kind": "finite", "entries": [[1e300, 1]]}},
+     1, "TorsionError"),
+    (["torsion", "eq"], "spectra", {"2": {"kind": "finite", "entries": [[1e-300, 1]]}},
+     1, "TorsionError"),
+    (["zeta", "dzeta"], "spectrum", {"kind": "finite", "entries": [[1e300, 1e308]]},
+     1, "TorsionError"),
+])
+def test_analytic_commands_refuse_non_finite_numbers(command, flag, doc, code, kind, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--dim", "2"] if flag == "spectra" else []
+    r = run([*command, f"--{flag}", str(path), *extra])
+    assert (r.exit_code, r.stdout) == (code, "")
+    assert json.loads(r.stderr)["error"]["kind"] == kind
 
 
 def test_numerology_json_record():

@@ -1,8 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 from conftest import random_unimodular
+from dense_reference import fraction_kernel, solve_fraction
 
 from ihskit import exactmat
 
@@ -35,11 +38,11 @@ def test_solve_fraction_roundtrip():
             continue
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = exactmat.mat_vec(exactmat.mat_fraction(a), x)
-        assert exactmat.solve_fraction(a, b) == x
+        assert solve_fraction(a, b) == x
 
 
 def test_solve_fraction_inconsistent_returns_none():
-    assert exactmat.solve_fraction([[1, 1], [1, 1]], [0, 1]) is None
+    assert solve_fraction([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_fraction_kernel_dimension_and_membership():
@@ -47,11 +50,11 @@ def test_fraction_kernel_dimension_and_membership():
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         m = random_int_matrix(rng, rows, cols)
-        kernel = exactmat.fraction_kernel(m)
+        kernel = fraction_kernel(m)
         mf = exactmat.mat_fraction(m)
         for v in kernel:
             assert all(x == 0 for x in exactmat.mat_vec(mf, v))
-        rank = rows - len(exactmat.fraction_kernel(exactmat.transpose(m)))
+        rank = rows - len(fraction_kernel(exactmat.transpose(m)))
         assert len(kernel) == cols - rank
 
 
@@ -128,6 +131,47 @@ def test_invariant_factors_match_determinantal_divisors():
         for k, f in enumerate(factors, start=1):
             prod *= f
             assert prod == minor_gcds(m, k)
+
+
+# 7 x 6, rank 6: the unreduced elimination ran for minutes on it.
+NON_SQUARE = [[-4, -6, -4, 1, -6, 5], [0, -1, 4, 3, 2, 2], [3, 2, 0, -2, -3, 3],
+              [-2, -1, -3, 3, 0, -3], [-1, 3, -3, 6, -1, -5], [-6, -2, 2, -3, 1, -6],
+              [-1, -1, -4, 6, 2, 1]]
+
+
+def timed_invariant_factors(m, budget=2.0):
+    start = time.perf_counter()
+    factors = exactmat.invariant_factors(m)
+    assert time.perf_counter() - start < budget, (len(m), len(m[0]))
+    return factors
+
+
+def test_invariant_factors_non_square_full_rank():
+    for m in (NON_SQUARE, exactmat.transpose(NON_SQUARE)):
+        factors = timed_invariant_factors(m)
+        assert factors == [1, 1, 1, 1, 1, 2]
+        prod = 1
+        for k, f in enumerate(factors, start=1):
+            prod *= f
+            assert prod == minor_gcds(m, k)
+
+
+def test_invariant_factors_full_rank_bases_of_rank_23():
+    # Seeded r x 23 bases, as Sublattice gives them: full row rank, each
+    # reduced modulo a nonzero maximal minor.  Oracles: unimodular
+    # invariance, d_1 = gcd of the entries, and d_1 ... d_r = gcd of the
+    # r x r minors where there are few of them.
+    rng = random.Random(110)
+    for r in range(1, 23):
+        m = random_int_matrix(rng, r, 23)
+        factors = timed_invariant_factors(m)
+        assert len(factors) == r
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert factors[0] == math.gcd(*(x for row in m for x in row))
+        u, v = random_unimodular(rng, r), random_unimodular(rng, 23, steps=40)
+        assert timed_invariant_factors(exactmat.mat_mul(exactmat.mat_mul(u, m), v)) == factors
+        if r in (1, 2, 21, 22):
+            assert math.prod(factors) == minor_gcds(m, r)
 
 
 def test_invariant_factors_unimodular_invariance():

@@ -80,11 +80,23 @@ def commands(tmp: Path) -> dict[str, list[str]]:
         "E8": (e8, [_unit(8, 0), _unit(8, 1), _unit(8, 0, 2), _unit(8, 3)]),
         "Lambda_4": (lam4, [_unit(8, 0), _unit(8, 1), _unit(8, 2, 3), _unit(8, 7)]),
         "L2": (l2, [_unit(23, 0), _unit(23, 16, 17), _unit(23, 22), _unit(23, 4)]),
+        # Non-involutions whose Cartan-Dieudonne mirrors have denominators
+        # up to 81; the two rank-23 words take 10 mirrors each.
+        "E8-coxeter": (e8, [_unit(8, i) for i in range(8)]),
+        "Lambda_4-long": (lam4, [_unit(8, 0, 1, 2), _unit(8, 0, 2, 3), _unit(8, 1, 4, 5),
+                                 _unit(8, 4), _unit(8, 0, 6, 7), _unit(8, 1, 2, 3),
+                                 _unit(8, 5, 6), _unit(8, 0, 3, 7)]),
+        "L2-coxeter": (l2, [_unit(23, i) for i in range(8)]
+                       + [_unit(23, 16, 17), _unit(23, 22)]),
+        "L2-mixed": (l2, [_unit(23, 0), _unit(23, 16, 17), _unit(23, 8), _unit(23, 18, 19),
+                          _unit(23, 22), _unit(23, 1), _unit(23, 9), _unit(23, 20, 21),
+                          _unit(23, 3), _unit(23, 12)]),
     }
-    for label, (gram, mirrors) in words.items():
-        path = doc(f"iso-{label}.json", {"lattice": label, "matrix": _word(gram, mirrors)})
-        cmds[f"isometry-info-{label}"] = ["isometry", "info", "--file", path]
-        cmds[f"isometry-factor-{label}"] = ["isometry", "factor", "--file", path]
+    for name, (gram, mirrors) in words.items():
+        label = name.split("-")[0]
+        path = doc(f"iso-{name}.json", {"lattice": label, "matrix": _word(gram, mirrors)})
+        cmds[f"isometry-info-{name}"] = ["isometry", "info", "--file", path]
+        cmds[f"isometry-factor-{name}"] = ["isometry", "factor", "--file", path]
     swap = doc("iso-swap.json", {"lattice": "U", "matrix": [[0, 1], [1, 0]]})
     cmds["isometry-info-swap-text"] = ["isometry", "info", "--file", swap, "--format", "text"]
     for m0 in ("Zh", "U"):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import dense_cartan_dieudonne
+from dense_reference import dense_cartan_dieudonne, fraction_kernel
 
 from ihskit import exactmat, isometry
 from ihskit.errors import IsometryError
@@ -82,7 +82,7 @@ def minus_eigenspace_positive_index(g):
     """Positive index of the form on the -1 eigenspace of ``g``."""
     shifted = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
     basis = []
-    for v in exactmat.fraction_kernel(shifted):
+    for v in fraction_kernel(shifted):
         scale = math.lcm(*(x.denominator for x in v))
         basis.append([int(x * scale) for x in v])
     gram = [[g.lattice.inner(u, w) for w in basis] for u in basis]
@@ -160,12 +160,91 @@ def test_cartan_dieudonne_matches_dense_reference():
     assert involutions >= 20 and non_involutions >= 20
 
 
+def random_gram_lattices(rng, count):
+    """Nondegenerate lattices of rank 3 or 4 with small, often zero, Gram
+    entries: their orthocomplements run into all-isotropic bases whose
+    vectors have non-unit denominators."""
+    out = []
+    while len(out) < count:
+        n = rng.choice([3, 4])
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = rng.choice([0, 0, 2, -2, 1, -1])
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        if exactmat.det_int(gram):
+            out.append(Lattice("random", gram))
+    return out
+
+
+# Words whose factorization meets an all-isotropic complement basis with a
+# non-unit denominator and then reflects in the anisotropic sum of a pair.
+ISOTROPIC_PAIR_WORDS = [
+    (((0, -2, 0, 0), (-2, 2, 2, -1), (0, 2, 0, -2), (0, -1, -2, 0)),
+     [(2, 1, 2, 0), (-2, 2, -3, 1), (-2, 3, 0, 0)]),
+    (((2, 0, 2, -1), (0, 0, 0, -2), (2, 0, 0, -2), (-1, -2, -2, 0)),
+     [(3, 0, 1, -1), (-2, -1, 3, 2), (-2, 3, -3, -3), (1, -3, 1, -3)]),
+    (((1, 2, -2, 1), (2, 0, 0, 0), (-2, 0, 0, 1), (1, 0, 1, 0)),
+     [(-1, -2, -1, 2), (-1, 2, 0, 0), (3, -3, -3, -2), (1, 0, -3, -1)]),
+]
+
+
+def test_cartan_dieudonne_matches_dense_reference_on_random_grams():
+    rng = random.Random(308)
+    cases = [product_of_reflections(Lattice("frozen", gram), word)
+             for gram, word in ISOTROPIC_PAIR_WORDS]
+    for lat in random_gram_lattices(rng, 150):
+        cases.append(random_word(rng, lat, 4)[0])
+        cases.append(product_of_reflections(lat, rational_mirrors(rng, lat, 2)))
+    for g in cases:
+        assert cartan_dieudonne(g) == dense_cartan_dieudonne(g)
+
+
+def test_cartan_dieudonne_long_rational_words_match_dense_reference():
+    # Words of 12 to 14 rational mirrors: the isometries and the mirrors
+    # have large denominators, so the common denominators of the
+    # fraction-free kernel grow and shrink on every step.
+    rng = random.Random(307)
+    for lat in (build_standard("Lambda_4"), build_standard("E8")):
+        for count in (12, 13, 14):
+            word = rational_mirrors(rng, lat, count)
+            g = product_of_reflections(lat, word)
+            assert max(x.denominator for row in g.matrix for x in map(Fraction, row)) > 1000
+            mirrors = cartan_dieudonne(g)
+            assert mirrors == dense_cartan_dieudonne(g)
+            assert product_of_reflections(lat, mirrors).matrix == g.matrix
+            assert spinor_norm(g) == math.prod(1 if lat.norm(m) < 0 else -1 for m in word)
+
+
+def test_cartan_dieudonne_runtime_checks_fire(monkeypatch):
+    # Both guards are live: a forward product that drops a reflection, and
+    # a reduction that skips one, are each reported rather than returned.
+    e8 = build_standard("E8")
+    g = product_of_reflections(e8, [[1 if i == j else 0 for i in range(8)] for j in range(8)])
+    product = isometry._product
+    monkeypatch.setattr(isometry, "_product", lambda n, factors: product(n, factors[:-1]))
+    with pytest.raises(IsometryError, match="does not reproduce"):
+        cartan_dieudonne(g)
+    monkeypatch.undo()
+    reflect_rows, calls = isometry._reflect_rows, []
+
+    def skip_first(matrix, den, *factor):
+        calls.append(factor)
+        return den if len(calls) == 1 else reflect_rows(matrix, den, *factor)
+
+    monkeypatch.setattr(isometry, "_reflect_rows", skip_first)
+    with pytest.raises(IsometryError, match="failed to terminate"):
+        cartan_dieudonne(g)
+
+
 def test_cartan_dieudonne_does_no_dense_work(monkeypatch):
     # The factorization applies reflections as rank-1 updates and keeps the
     # orthocomplement incrementally: no matrix product, no validated
-    # reflection isometry and no fresh kernel on any step.
+    # reflection isometry, and one row-echelon insertion and one kernel read
+    # per clamped vector, never a fresh kernel.
     iota = make_admissible(catalog_nikulin("Zh")).iota
-    calls = {"mat_mul": 0, "fraction_kernel": 0, "Isometry": 0}
+    names = ("mat_mul", "sparse_mat_mul", "rref_insert", "rref_kernel")
+    calls = dict.fromkeys((*names, "Isometry"), 0)
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -173,16 +252,16 @@ def test_cartan_dieudonne_does_no_dense_work(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(exactmat, "mat_mul", counting("mat_mul", exactmat.mat_mul))
-    monkeypatch.setattr(exactmat, "fraction_kernel",
-                        counting("fraction_kernel", exactmat.fraction_kernel))
+    for name in names:
+        monkeypatch.setattr(exactmat, name, counting(name, getattr(exactmat, name)))
     monkeypatch.setattr(Isometry, "__post_init__",
                         counting("Isometry", Isometry.__post_init__))
     mirrors = cartan_dieudonne(iota)
     assert len(mirrors) == 21
-    assert calls == {"mat_mul": 0, "fraction_kernel": 0, "Isometry": 0}
-    reflection(iota.lattice, mirrors[0])  # the counters see the dense path
-    assert calls["Isometry"] == 1 and calls["mat_mul"] == 2
+    assert calls == {"mat_mul": 0, "sparse_mat_mul": 0, "rref_insert": 23, "rref_kernel": 23,
+                     "Isometry": 0}
+    reflection(iota.lattice, mirrors[0])  # the counters see the validation
+    assert calls["Isometry"] == 1 and calls["sparse_mat_mul"] == 2 and calls["mat_mul"] == 0
 
 
 def test_cartan_dieudonne_identity_is_empty():
@@ -331,8 +410,8 @@ def test_nikulin_extension_rejects_bad_candidates(name):
 
 def test_make_admissible_reads_the_spinor_sign_without_factoring(monkeypatch):
     # The sign comes from signatures: no reflection factorization, no
-    # rational kernel and no linear solve.
-    calls = {"_reflection_factors": 0, "fraction_kernel": 0, "solve_fraction": 0}
+    # reflection update and no orthocomplement.
+    calls = {"_reflection_factors": 0, "_reflect_rows": 0, "rref_kernel": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -340,14 +419,15 @@ def test_make_admissible_reads_the_spinor_sign_without_factoring(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, name in ((isometry, "_reflection_factors"), (exactmat, "fraction_kernel"),
-                         (exactmat, "solve_fraction")):
+    for module, name in ((isometry, "_reflection_factors"), (isometry, "_reflect_rows"),
+                         (exactmat, "rref_kernel")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     adms = [make_admissible(catalog_nikulin(m0)) for m0 in ("Zh", "U")]
-    assert calls == {"_reflection_factors": 0, "fraction_kernel": 0, "solve_fraction": 0}
-    monkeypatch.undo()
+    assert calls == {"_reflection_factors": 0, "_reflect_rows": 0, "rref_kernel": 0}
     for adm in adms:
         assert adm.spinor_norm == spinor_norm(adm.iota) == 1  # the factorization oracle
+    assert calls["_reflection_factors"] == 2 and calls["rref_kernel"] == 46
+    assert calls["_reflect_rows"] > 0
 
 
 def test_make_admissible_zh():

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from conftest import random_unimodular
+from dense_reference import fraction_kernel
 
 from ihskit import exactmat
 from ihskit.errors import LatticeError
@@ -165,7 +166,7 @@ def test_primitive_sublattice_against_minor_gcd_oracle():
     while checked < 60:
         k = rng.randint(1, 3)
         basis = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(k)]
-        if len(exactmat.fraction_kernel(basis)) != 4 - k:
+        if len(fraction_kernel(basis)) != 4 - k:
             continue  # keep only independent rows
         assert is_primitive_sublattice(lat, basis) == brute_primitive(lat, basis)
         checked += 1
@@ -188,6 +189,18 @@ def test_sublattice_rejects_dependent_basis():
     u = build_standard("U")
     with pytest.raises(LatticeError):
         Sublattice(u, ((1, 1), (2, 2)))
+
+
+def test_sublattice_rejects_rank_deficient_basis_quickly():
+    # Seven rows of rank 6, zero-padded to L2 coordinates: refused from the
+    # row-echelon rank before any Smith normal form is attempted.
+    rows = [[-4, -6, -4, 1, -6, 5], [0, -1, 4, 3, 2, 2], [3, 2, 0, -2, -3, 3],
+            [-2, -1, -3, 3, 0, -3], [-1, 3, -3, 6, -1, -5], [-6, -2, 2, -3, 1, -6],
+            [-1, -1, -4, 6, 2, 1]]
+    basis = [row + [0] * 17 for row in rows]
+    with pytest.raises(LatticeError, match="linearly dependent"):
+        Sublattice(build_standard("L2"), basis)
+    assert Sublattice(build_standard("L2"), basis[:6]).rank == 6
 
 
 def test_hyperbolic_predicate():

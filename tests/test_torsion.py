@@ -252,3 +252,17 @@ def test_torsion_ingredients_validation():
     with pytest.raises(TorsionError):
         TorsionIngredients(tau_iota=1.0, vol_x=1.0, tau_o_fix=1.0,
                            vol_fix=1.0, vol_l2_h1=1.0, t=2)
+
+
+def test_results_outside_the_float_range_raise():
+    with pytest.raises(TorsionError):
+        equivariant_torsion({2: FiniteSpectrum(((1e300, 1.0),))}, 2)  # exp overflows
+    with pytest.raises(TorsionError):
+        equivariant_torsion({2: FiniteSpectrum(((1e-300, 1.0),))}, 2)  # exp underflows to 0
+    with pytest.raises(TorsionError):
+        zeta_prime_zero(FiniteSpectrum(((1e300, 1e308),)))  # -inf
+    for tau_o_fix, vol_fix in ((1e-200, 1.0), (1e200, 1.0), (1.0, 1e-200)):
+        ing = TorsionIngredients(tau_iota=1.5, vol_x=2.0, tau_o_fix=tau_o_fix,
+                                 vol_fix=vol_fix, vol_l2_h1=0.9, t=5)
+        with pytest.raises(TorsionError):
+            assemble_invariant(ing)
