@@ -2,7 +2,7 @@
 analytic-torsion bookkeeping for involutions of the rank-23 degree-2 form
 lattice.
 
-The package is organized by domain:
+The package is organized by domain; import names from the submodules:
 
 * ``lattice``  - integral quadratic lattices, invariants, built-in catalog
 * ``isometry`` - reflections, factorization, spinor norm, admissible involutions
@@ -12,82 +12,4 @@ The package is organized by domain:
 * ``cli``      - deterministic JSON command line front end
 """
 
-from .chambers import (
-    Chamber2,
-    Completeness,
-    DeltaSet,
-    chamber_orbits,
-    chambers_rank2,
-    chambers_svg,
-    classify_delta,
-    enumerate_delta,
-    is_natural,
-)
-from .errors import (
-    ChamberError,
-    IhskitError,
-    InputError,
-    IsometryError,
-    LatticeError,
-    TorsionError,
-)
-from .forms import (
-    GradedElement,
-    ch_bundle,
-    chern_values_from_roots,
-    equivariant_ch_cotangent,
-    equivariant_todd,
-    normal_relations,
-    reference_checks,
-    sigmoid_det_factor,
-    substitute_normal_relations,
-    todd_series,
-    verify_product_identity,
-    wedge_norm_identity,
-)
-from .isometry import (
-    AdmissibleSublattice,
-    Isometry,
-    cartan_dieudonne,
-    catalog_nikulin,
-    identity_isometry,
-    in_o_plus,
-    invariant_lattice,
-    make_admissible,
-    nikulin_extension,
-    product_of_reflections,
-    reflection,
-    spinor_norm,
-)
-from .lattice import (
-    Lattice,
-    Sublattice,
-    build_standard,
-    direct_sum,
-    discriminant_group,
-    divisibility,
-    is_2_elementary,
-    is_hyperbolic,
-    is_primitive_sublattice,
-    lattice_summary,
-    rescale,
-    signature,
-)
-from .torsion import (
-    FiniteSpectrum,
-    Numerology,
-    PowerSpectrum,
-    TorsionIngredients,
-    assemble_invariant,
-    equivariant_torsion,
-    gram_covolume,
-    numerology,
-    omega_integral_from_parts,
-    quillen_combination,
-    riemann_zeta_em,
-    zeta_prime_zero,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,29 +1,37 @@
 """Deterministic command line front end.
 
 Subcommands: lattice, isometry, delta, chambers, forms, zeta, torsion,
-invariant, numerology, verify-all.  Payload JSON goes to standard output (or
-``--out``), human diagnostics to the error stream.  Exit codes: 0 success,
-1 domain error or failed verification, 2 malformed input.
+invariant, numerology, verify-all; ``COMMANDS`` lists each with its options
+and handler.  Payload JSON goes to standard output (or ``--out``), human
+diagnostics and JSON errors to the error stream, ``--help`` to standard
+output.  Exit codes: 0 success, 1 domain error or failed verification,
+2 malformed input or arguments.
+
+Importing this module loads only the lattice layer: each handler imports
+the domain module it needs on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
-from contextlib import redirect_stderr
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, NoReturn, Sequence
 
-from . import chambers as chambers_mod
-from . import forms as forms_mod
-from . import isometry as isometry_mod
 from . import jsonio
 from . import lattice as lattice_mod
-from . import torsion as torsion_mod
 from .errors import IhskitError, InputError
+
+if TYPE_CHECKING:
+    from . import chambers as chambers_mod
+    from . import forms as forms_mod
+    from . import isometry as isometry_mod
+    from . import torsion as torsion_mod
 
 DEFAULT_TOL = 1e-10
 
@@ -67,6 +75,8 @@ def _load_sublattice(path: str, ambient_flag: str | None) -> lattice_mod.Sublatt
 
 
 def _load_isometry(path: str) -> isometry_mod.Isometry:
+    from . import isometry as isometry_mod
+
     doc = jsonio.load_document(path)
     if not isinstance(doc, dict) or "matrix" not in doc or "lattice" not in doc:
         raise InputError("isometry document needs 'lattice' and 'matrix' fields")
@@ -75,6 +85,8 @@ def _load_isometry(path: str) -> isometry_mod.Isometry:
 
 
 def _parse_spectrum_doc(doc: Any) -> torsion_mod.WeightedSpectrum:
+    from . import torsion as torsion_mod
+
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("spectrum document needs a 'kind' field")
     kind = doc["kind"]
@@ -109,6 +121,14 @@ def _parse_vec2(text: str, what: str) -> tuple[int, int]:
         raise InputError(f"{what} must be two comma-separated integers, got {text!r}") from exc
 
 
+def _tolerance(text: str) -> float:
+    """``--tol``: finite by the rule documents follow, and not negative."""
+    tol = jsonio.parse_number(text, "--tol")
+    if tol < 0:
+        raise InputError(f"expected a non-negative --tol, got {text!r}")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # Payload builders
 
@@ -133,29 +153,6 @@ def _tag_payload(tag: chambers_mod.BoundaryTag) -> dict:
     if tag.delta is not None:
         payload["delta"] = list(tag.delta)
     return payload
-
-
-def _chambers_payload(chams: Sequence[chambers_mod.Chamber2],
-                      m0: tuple[int, int] | None) -> list[dict]:
-    out = []
-    for i, c in enumerate(chams):
-        entry = {
-            "index": i + 1,
-            "ray_low": list(c.ray_low),
-            "ray_high": list(c.ray_high),
-            "tag_low": _tag_payload(c.tag_low),
-            "tag_high": _tag_payload(c.tag_high),
-            "interior_sample": list(c.interior_sample),
-        }
-        if m0 is not None:
-            entry["natural"] = chambers_mod.is_natural(m0, c)
-        out.append(entry)
-    return out
-
-
-def _element_terms_payload(element: forms_mod.GradedElement) -> list[dict]:
-    return [{"monomial": forms_mod.monomial_text(mono) or "1", "coeff": coeff}
-            for mono, coeff in element.terms()]
 
 
 def _render_text(payload: Any, indent: int = 0) -> list[str]:
@@ -207,6 +204,8 @@ def _cmd_lattice(args) -> dict:
 
 
 def _cmd_isometry_info(args) -> dict:
+    from . import isometry as isometry_mod
+
     iso = _load_isometry(args.file)
     payload: dict[str, Any] = {
         "lattice": iso.lattice.label,
@@ -226,6 +225,8 @@ def _cmd_isometry_info(args) -> dict:
 
 
 def _cmd_isometry_factor(args) -> dict:
+    from . import isometry as isometry_mod
+
     iso = _load_isometry(args.file)
     mirrors = isometry_mod.cartan_dieudonne(iso)
     return {
@@ -237,6 +238,8 @@ def _cmd_isometry_factor(args) -> dict:
 
 
 def _cmd_isometry_admissible(args) -> dict:
+    from . import isometry as isometry_mod
+
     iota_k3 = isometry_mod.catalog_nikulin(args.m0)
     adm = isometry_mod.make_admissible(iota_k3)
     return {
@@ -252,8 +255,11 @@ def _cmd_isometry_admissible(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
+    from . import chambers as chambers_mod
+
     sub = _load_sublattice(args.lattice, args.ambient)
-    delta = chambers_mod.enumerate_delta(sub, bound=args.bound)
+    bound = chambers_mod.DEFAULT_BOUND if args.bound is None else args.bound
+    delta = chambers_mod.enumerate_delta(sub, bound=bound)
     return {
         "lattice": sub.label,
         "ambient": sub.ambient.label,
@@ -266,6 +272,8 @@ def _cmd_delta(args) -> dict:
 
 
 def _chambers_common(args) -> tuple[chambers_mod.DeltaSet, list[chambers_mod.Chamber2]]:
+    from . import chambers as chambers_mod
+
     sub = _load_sublattice(args.lattice, args.ambient)
     anchor = _parse_vec2(args.anchor, "--anchor")
     chambers_mod.check_rank2(sub)
@@ -274,17 +282,34 @@ def _chambers_common(args) -> tuple[chambers_mod.DeltaSet, list[chambers_mod.Cha
 
 
 def _cmd_chambers_rank2(args) -> dict:
+    from . import chambers as chambers_mod
+
     delta, chams = _chambers_common(args)
     m0 = _parse_vec2(args.m0, "--m0") if args.m0 else None
+    entries = []
+    for i, c in enumerate(chams):
+        entry = {
+            "index": i + 1,
+            "ray_low": list(c.ray_low),
+            "ray_high": list(c.ray_high),
+            "tag_low": _tag_payload(c.tag_low),
+            "tag_high": _tag_payload(c.tag_high),
+            "interior_sample": list(c.interior_sample),
+        }
+        if m0 is not None:
+            entry["natural"] = chambers_mod.is_natural(m0, c)
+        entries.append(entry)
     return {
         "lattice": delta.sublattice.label,
         "anchor": list(_parse_vec2(args.anchor, "--anchor")),
         "wall_count": len(delta),
-        "chambers": _chambers_payload(chams, m0),
+        "chambers": entries,
     }
 
 
 def _cmd_chambers_orbits(args) -> dict:
+    from . import chambers as chambers_mod
+
     delta, chams = _chambers_common(args)
     doc = jsonio.load_document(args.generators)
     if not isinstance(doc, dict) or "generators" not in doc:
@@ -299,12 +324,17 @@ def _cmd_chambers_orbits(args) -> dict:
 
 
 def _cmd_chambers_plot(args) -> tuple[dict, str]:
+    from . import chambers as chambers_mod
+
     delta, chams = _chambers_common(args)
     svg = chambers_mod.chambers_svg(delta, chams)
     return {"chambers": len(chams), "svg_bytes": len(svg.encode())}, svg
 
 
-def _forms_series(name: str, cap: int) -> forms_mod.GradedElement:
+def _cmd_forms_expand(args) -> dict:
+    from . import forms as forms_mod
+
+    cap = forms_mod.DEFAULT_CAP if args.weight is None else args.weight
     builders = {
         "todd": lambda: forms_mod.todd_series(cap=cap),
         "sigmoid": lambda: forms_mod.sigmoid_det_factor(cap=cap),
@@ -313,29 +343,35 @@ def _forms_series(name: str, cap: int) -> forms_mod.GradedElement:
         "eq-todd": lambda: forms_mod.equivariant_todd(cap=cap),
         "eq-ch": lambda: forms_mod.equivariant_ch_cotangent(cap=cap),
     }
-    if name not in builders:
-        raise InputError(f"unknown series {name!r}; choose from {sorted(builders)}")
-    return builders[name]()
-
-
-def _cmd_forms_expand(args) -> dict:
-    element = _forms_series(args.series, args.weight)
+    if args.series not in builders:
+        raise InputError(f"unknown series {args.series!r}; choose from {sorted(builders)}")
+    element = builders[args.series]()
     return {
         "series": args.series,
-        "weight": args.weight,
-        "terms": _element_terms_payload(element),
+        "weight": cap,
+        "terms": [{"monomial": forms_mod.monomial_text(mono) or "1", "coeff": coeff}
+                  for mono, coeff in element.terms()],
         "text": str(element),
     }
 
 
 def _forms_checks(tol: float, which: str) -> list[dict]:
+    import random
+
+    from . import forms as forms_mod
+
     checks: list[dict] = []
     if which in ("product", "all"):
         report = forms_mod.verify_product_identity()
-        numeric_ok, worst = _product_numeric_check(report, tol)
+        rng = random.Random(20260823)
+        worst = 0.0
+        for _ in range(100):
+            roots = [complex(rng.uniform(-0.1, 0.1)) for _ in range(4)]
+            values = forms_mod.chern_values_from_roots(roots[:2], roots[2:])
+            worst = max(worst, abs(report.lhs.evaluate(values) - report.rhs.evaluate(values)))
         checks.append({
             "name": "weight3_product_identity",
-            "passed": report.passed and numeric_ok,
+            "passed": report.passed and worst < tol,
             "residual": str(report.residual),
             "numeric_max_error": worst,
         })
@@ -350,21 +386,6 @@ def _forms_checks(tol: float, which: str) -> list[dict]:
     return checks
 
 
-def _product_numeric_check(report: forms_mod.ProductIdentityReport, tol: float,
-                           trials: int = 100) -> tuple[bool, float]:
-    import random
-
-    rng = random.Random(20260823)
-    worst = 0.0
-    for _ in range(trials):
-        roots = [complex(rng.uniform(-0.1, 0.1)) for _ in range(4)]
-        values = forms_mod.chern_values_from_roots(roots[:2], roots[2:])
-        lhs = report.lhs.evaluate(values)
-        rhs = report.rhs.evaluate(values)
-        worst = max(worst, abs(lhs - rhs))
-    return worst < tol, worst
-
-
 def _cmd_forms_verify(args) -> dict:
     token = {"product": "product", "lemma33": "product",
              "tables": "tables", "all": "all"}.get(args.check)
@@ -375,11 +396,15 @@ def _cmd_forms_verify(args) -> dict:
 
 
 def _cmd_zeta(args) -> dict:
+    from . import torsion as torsion_mod
+
     spectrum = _parse_spectrum_doc(jsonio.load_document(args.spectrum))
     return {"dzeta0": torsion_mod.zeta_prime_zero(spectrum)}
 
 
 def _cmd_torsion(args) -> dict:
+    from . import torsion as torsion_mod
+
     doc = jsonio.load_document(args.spectra)
     if not isinstance(doc, dict):
         raise InputError("spectra document must map degrees to spectra")
@@ -395,6 +420,8 @@ def _cmd_torsion(args) -> dict:
 
 
 def _cmd_invariant(args) -> dict:
+    from . import torsion as torsion_mod
+
     doc = jsonio.load_document(args.ingredients)
     if not isinstance(doc, dict):
         raise InputError("ingredients document must be an object")
@@ -420,23 +447,23 @@ def _cmd_invariant(args) -> dict:
 
 
 def _cmd_numerology(args) -> dict:
+    from . import torsion as torsion_mod
+
     return torsion_mod.numerology(args.t).to_dict()
 
 
-def _flagship_sublattice() -> lattice_mod.Sublattice:
+def _cmd_verify_all(args) -> dict:
+    from . import chambers as chambers_mod
+    from . import torsion as torsion_mod
+
+    checks: list[dict] = []
+    checks.extend(_forms_checks(args.tol, "all"))
+
     l2 = lattice_mod.build_standard("L2")
     n = l2.rank
     h = tuple(1 if i in (16, 17) else 0 for i in range(n))
     e = tuple(1 if i == n - 1 else 0 for i in range(n))
-    return lattice_mod.Sublattice(l2, (h, e), label="Zh+Ze")
-
-
-def _cmd_verify_all(args) -> dict:
-    checks: list[dict] = []
-    checks.extend(_forms_checks(args.tol, "all"))
-
-    sub = _flagship_sublattice()
-    delta = chambers_mod.enumerate_delta(sub)
+    delta = chambers_mod.enumerate_delta(lattice_mod.Sublattice(l2, (h, e), label="Zh+Ze"))
     expected_walls = ((-2, -3), (-2, 3), (0, -1), (0, 1), (2, -3), (2, 3))
     walls_ok = (delta.vectors == expected_walls
                 and delta.completeness.kind == "exact")
@@ -473,142 +500,123 @@ def _cmd_verify_all(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Command table, parser and dispatch
+
+_CHAMBER = (("--lattice", {"required": True}),
+            ("--ambient", {"default": None}),
+            ("--anchor", {"required": True, "help": 'positive-cone anchor, e.g. "1,0"'}))
+_TOL = (("--tol", {"type": _tolerance, "default": DEFAULT_TOL,
+                   "help": "tolerance for numeric oracles"}),)
+# Every leaf command takes these after its own options.
+_OUTPUT = (("--format", {"choices": ("json", "text"), "default": "json"}),
+           ("--out", {"default": None, "help": "write payload to FILE"}))
+
+# (command path, help, handler, options).  A group has no handler and no
+# options and precedes its commands; a leaf's options are (flag, settings)
+# pairs for ``add_argument``.
+COMMANDS = (
+    ("lattice", "catalog lookup and exact invariants", None, ()),
+    ("lattice info", "signature, determinant, discriminant group", _cmd_lattice, (
+        ("--name", {"help": "catalog label, e.g. U, E8, LK3, L2, Z-2, Lambda_3"}),
+        ("--file", {"help": "JSON lattice document"}),
+        ("--scale", {"type": int, "default": 1}))),
+    ("isometry", "isometry checks, factorization, catalog involutions", None, ()),
+    ("isometry info", "validate and summarize an isometry", _cmd_isometry_info,
+     (("--file", {"required": True}),)),
+    ("isometry factor", "reflection factorization over Q", _cmd_isometry_factor,
+     (("--file", {"required": True}),)),
+    ("isometry admissible", "build a catalog admissible involution", _cmd_isometry_admissible,
+     (("--m0", {"required": True, "help": "catalog invariant part: Zh or U"}),)),
+    ("delta", "wall-vector enumeration with certificates", None, ()),
+    ("delta enum", "enumerate the wall set of an embedded sublattice", _cmd_delta, (
+        ("--lattice", {"required": True, "help": "embedded sublattice JSON document"}),
+        ("--ambient", {"default": None, "help": "ambient catalog label or inline doc"}),
+        ("--bound", {"type": int, "help": "box bound for non-exact wall enumeration"}))),
+    ("chambers", "rank-2 chamber decompositions", None, ()),
+    ("chambers rank2", "chambers with boundary tags and naturality flags",
+     _cmd_chambers_rank2, (*_CHAMBER, ("--m0", {
+         "default": None, "help": 'rank-1 direction for naturality flags, e.g. "1,0"'}))),
+    ("chambers orbits", "chamber orbits under 2x2 generators", _cmd_chambers_orbits,
+     (*_CHAMBER, ("--generators", {
+         "required": True, "help": "JSON document with a 'generators' list of 2x2 matrices"}))),
+    ("chambers plot", "SVG drawing of the chambers", _cmd_chambers_plot, _CHAMBER),
+    ("forms", "characteristic-form series and identity checks", None, ()),
+    ("forms verify", "run symbolic identity checks", _cmd_forms_verify, (
+        ("check", {"nargs": "?", "default": "all", "help": "product, tables, or all"}),
+        *_TOL)),
+    ("forms expand", "print a series with sorted monomials", _cmd_forms_expand, (
+        ("--series", {"required": True,
+                      "help": "todd | sigmoid | ch | ch-dual | eq-todd | eq-ch"}),
+        ("--weight", {"type": int}))),
+    ("zeta", "spectral zeta derivative at zero", None, ()),
+    ("zeta dzeta", "zeta'(0) of a weighted spectrum", _cmd_zeta,
+     (("--spectrum", {"required": True, "help": "spectrum JSON document"}),)),
+    ("torsion", "equivariant torsion from explicit spectra", None, ()),
+    ("torsion eq", "equivariant torsion of spectra by degree", _cmd_torsion, (
+        ("--spectra", {"required": True,
+                       "help": "JSON document mapping degree q to a spectrum"}),
+        ("--dim", {"type": int, "required": True}))),
+    ("invariant", "assemble the final invariant", None, ()),
+    ("invariant assemble", "the invariant from its ingredients", _cmd_invariant,
+     (("--ingredients", {"required": True}),)),
+    ("numerology", "exact t-dependent constants", _cmd_numerology,
+     (("--t", {"type": int, "required": True}),)),
+    ("verify-all", "run every built-in identity check", _cmd_verify_all, _TOL),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises InputError, so it takes the JSON error path;
+    subparsers are built by the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A new parser for every command in ``COMMANDS``."""
+    parser = _Parser(
         prog="ihskit",
         description="Exact lattice, chamber, characteristic-form and torsion "
                     "computations with deterministic JSON output.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, tol: bool = False) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", default=None, help="write payload to FILE")
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="tolerance for numeric oracles")
-
-    p = sub.add_parser("lattice", help="catalog lookup and exact invariants")
-    lat_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_info = lat_sub.add_parser("info", help="signature, determinant, discriminant group")
-    p_info.add_argument("--name", help="catalog label, e.g. U, E8, LK3, L2, Z-2, Lambda_3")
-    p_info.add_argument("--file", help="JSON lattice document")
-    p_info.add_argument("--scale", type=int, default=1)
-    common(p_info)
-    p_info.set_defaults(handler=_cmd_lattice)
-
-    p = sub.add_parser("isometry", help="isometry checks, factorization, catalog involutions")
-    iso_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_ii = iso_sub.add_parser("info", help="validate and summarize an isometry")
-    p_ii.add_argument("--file", required=True)
-    common(p_ii)
-    p_ii.set_defaults(handler=_cmd_isometry_info)
-    p_if = iso_sub.add_parser("factor", help="reflection factorization over Q")
-    p_if.add_argument("--file", required=True)
-    common(p_if)
-    p_if.set_defaults(handler=_cmd_isometry_factor)
-    p_ia = iso_sub.add_parser("admissible", help="build a catalog admissible involution")
-    p_ia.add_argument("--m0", required=True, help="catalog invariant part: Zh or U")
-    common(p_ia)
-    p_ia.set_defaults(handler=_cmd_isometry_admissible)
-
-    p = sub.add_parser("delta", help="wall-vector enumeration with certificates")
-    del_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_de = del_sub.add_parser("enum", help="enumerate the wall set of an embedded sublattice")
-    p_de.add_argument("--lattice", required=True, help="embedded sublattice JSON document")
-    p_de.add_argument("--ambient", default=None, help="ambient catalog label or inline doc")
-    p_de.add_argument("--bound", type=int, default=chambers_mod.DEFAULT_BOUND,
-                      help="box bound for non-exact wall enumeration")
-    common(p_de)
-    p_de.set_defaults(handler=_cmd_delta)
-
-    p = sub.add_parser("chambers", help="rank-2 chamber decompositions")
-    ch_sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, handler, extra in (
-            ("rank2", _cmd_chambers_rank2, "m0"),
-            ("orbits", _cmd_chambers_orbits, "generators"),
-            ("plot", _cmd_chambers_plot, None)):
-        p_ch = ch_sub.add_parser(name)
-        p_ch.add_argument("--lattice", required=True)
-        p_ch.add_argument("--ambient", default=None)
-        p_ch.add_argument("--anchor", required=True, help='positive-cone anchor, e.g. "1,0"')
-        if extra == "m0":
-            p_ch.add_argument("--m0", default=None,
-                              help="rank-1 direction for naturality flags, e.g. \"1,0\"")
-        if extra == "generators":
-            p_ch.add_argument("--generators", required=True,
-                              help="JSON document with a 'generators' list of 2x2 matrices")
-        common(p_ch)
-        p_ch.set_defaults(handler=handler)
-
-    p = sub.add_parser("forms", help="characteristic-form series and identity checks")
-    f_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_fv = f_sub.add_parser("verify", help="run symbolic identity checks")
-    p_fv.add_argument("check", nargs="?", default="all",
-                      help="product, tables, or all")
-    common(p_fv, tol=True)
-    p_fv.set_defaults(handler=_cmd_forms_verify)
-    p_fe = f_sub.add_parser("expand", help="print a series with sorted monomials")
-    p_fe.add_argument("--series", required=True,
-                      help="todd | sigmoid | ch | ch-dual | eq-todd | eq-ch")
-    p_fe.add_argument("--weight", type=int, default=forms_mod.DEFAULT_CAP)
-    common(p_fe)
-    p_fe.set_defaults(handler=_cmd_forms_expand)
-
-    p = sub.add_parser("zeta", help="spectral zeta derivative at zero")
-    z_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_zd = z_sub.add_parser("dzeta")
-    p_zd.add_argument("--spectrum", required=True, help="spectrum JSON document")
-    common(p_zd)
-    p_zd.set_defaults(handler=_cmd_zeta)
-
-    p = sub.add_parser("torsion", help="equivariant torsion from explicit spectra")
-    t_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_te = t_sub.add_parser("eq")
-    p_te.add_argument("--spectra", required=True,
-                      help="JSON document mapping degree q to a spectrum")
-    p_te.add_argument("--dim", type=int, required=True)
-    common(p_te)
-    p_te.set_defaults(handler=_cmd_torsion)
-
-    p = sub.add_parser("invariant", help="assemble the final invariant")
-    i_sub = p.add_subparsers(dest="subcommand", required=True)
-    p_ia2 = i_sub.add_parser("assemble")
-    p_ia2.add_argument("--ingredients", required=True)
-    common(p_ia2)
-    p_ia2.set_defaults(handler=_cmd_invariant)
-
-    p_n = sub.add_parser("numerology", help="exact t-dependent constants")
-    p_n.add_argument("--t", type=int, required=True)
-    common(p_n)
-    p_n.set_defaults(handler=_cmd_numerology)
-
-    p_va = sub.add_parser("verify-all", help="run every built-in identity check")
-    common(p_va, tol=True)
-    p_va.set_defaults(handler=_cmd_verify_all)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, text, handler, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        p = groups[group].add_parser(name, help=text)
+        if handler is None:
+            groups[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        for flag, settings in (*options, *_OUTPUT):
+            p.add_argument(flag, **settings)
+        p.set_defaults(handler=handler)
     return parser
 
 
-def run(argv: Sequence[str]) -> CommandResult:
-    stderr = io.StringIO()
-    try:
-        with redirect_stderr(stderr):
-            args = build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(2 if code != 0 else 0, "", stderr.getvalue())
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call: parsing reads it
+    and never changes it."""
+    return build_parser()
 
+
+def _error(code: int, kind: str, message: str) -> CommandResult:
+    err = jsonio.dumps_payload({"error": {"kind": kind, "message": message}})
+    return CommandResult(code, "", err + "\n")
+
+
+def run(argv: Sequence[str]) -> CommandResult:
+    """One command: a result, its ``--help``, or a JSON error on stderr."""
+    help_text = io.StringIO()
     try:
+        with redirect_stdout(help_text):
+            args = _parser().parse_args(list(argv))
         result = args.handler(args)
+    except SystemExit:  # argparse exits only after printing --help
+        return CommandResult(0, help_text.getvalue(), "")
     except InputError as exc:
-        err = jsonio.dumps_payload({"error": {"kind": "input", "message": str(exc)}})
-        return CommandResult(2, "", err + "\n")
+        return _error(2, "input", str(exc))
     except IhskitError as exc:
-        err = jsonio.dumps_payload(
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}})
-        return CommandResult(1, "", err + "\n")
+        return _error(1, type(exc).__name__, str(exc))
 
     raw_text: str | None = None
     if isinstance(result, tuple):
@@ -616,7 +624,7 @@ def run(argv: Sequence[str]) -> CommandResult:
     else:
         payload = result
 
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         rendered = "\n".join(_render_text(payload)) + "\n"
     else:
         rendered = jsonio.dumps_payload(payload) + "\n"
@@ -628,9 +636,7 @@ def run(argv: Sequence[str]) -> CommandResult:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out_text)
         except OSError as exc:
-            err = jsonio.dumps_payload(
-                {"error": {"kind": "input", "message": f"cannot write {args.out}: {exc}"}})
-            return CommandResult(2, "", err + "\n")
+            return _error(2, "input", f"cannot write {args.out}: {exc}")
         diagnostics = f"wrote {args.out}\n"
         stdout = rendered if raw_text is not None else ""
     else:

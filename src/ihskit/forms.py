@@ -27,14 +27,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import IhskitError
+from .errors import IhskitError, InputError
 
 GENERATORS = ("c1F", "c2F", "c1X", "c2X", "c1N", "c2N")
 WEIGHTS = (1, 2, 1, 2, 1, 2)
 DEFAULT_CAP = 4
+# The series grow steeply with the cap (eq-todd: under a second at 32, 7 s and
+# 44 MB of output at 60), so a larger cap is refused instead of run for minutes.
+MAX_WEIGHT = 32
 
 Monomial = tuple[int, int, int, int, int, int]
 _ZERO_MONO: Monomial = (0, 0, 0, 0, 0, 0)
+
+
+def _check_cap(cap: int) -> None:
+    if not 0 <= cap <= MAX_WEIGHT:
+        raise InputError(f"weight cap must be between 0 and {MAX_WEIGHT}, got {cap}")
 
 
 def _weight(mono: Monomial) -> int:
@@ -54,8 +62,7 @@ class GradedElement:
 
     def __init__(self, coeffs: Mapping[Monomial, Fraction] | None = None,
                  cap: int = DEFAULT_CAP):
-        if cap < 0:
-            raise IhskitError("weight cap must be nonnegative")
+        _check_cap(cap)
         cleaned: dict[Monomial, Fraction] = {}
         for mono, coeff in (coeffs or {}).items():
             q = Fraction(coeff)
@@ -233,17 +240,20 @@ def _series_reciprocal(denom: Sequence[Fraction], cap: int) -> list[Fraction]:
 
 def scalar_todd(cap: int = DEFAULT_CAP) -> list[Fraction]:
     """Coefficients of x / (1 - exp(-x)) up to x^cap."""
+    _check_cap(cap)
     denom = [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(cap + 1)]
     return _series_reciprocal(denom, cap)
 
 
 def scalar_sigmoid(cap: int = DEFAULT_CAP) -> list[Fraction]:
     """Coefficients of 1 / (1 + exp(-x)) up to x^cap."""
+    _check_cap(cap)
     denom = [Fraction(2)] + [Fraction((-1) ** k, math.factorial(k)) for k in range(1, cap + 1)]
     return _series_reciprocal(denom, cap)
 
 
 def scalar_exp(cap: int = DEFAULT_CAP) -> list[Fraction]:
+    _check_cap(cap)
     return [Fraction(1, math.factorial(k)) for k in range(cap + 1)]
 
 

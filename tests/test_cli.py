@@ -1,9 +1,17 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ihskit import cli, forms
 from ihskit.cli import run
 
 
@@ -275,6 +283,20 @@ def test_forms_expand():
     assert run(["forms", "expand", "--series", "bogus"]).exit_code == 2
 
 
+@pytest.mark.parametrize("weight, code", [
+    (-1, 2), (0, 0), (forms.MAX_WEIGHT, 0), (forms.MAX_WEIGHT + 1, 2), (10 ** 6, 2)])
+def test_forms_expand_weight_is_bounded(weight, code):
+    r = run(["forms", "expand", "--series", "todd", "--weight", str(weight)])
+    assert r.exit_code == code
+    if code:
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["error"] == {
+            "kind": "input",
+            "message": f"weight cap must be between 0 and {forms.MAX_WEIGHT}, got {weight}"}
+    else:
+        assert payload(r)["weight"] == weight
+
+
 def test_forms_expand_text_format():
     r = run(["forms", "expand", "--series", "sigmoid", "--weight", "1",
              "--format", "text"])
@@ -404,6 +426,173 @@ def test_tol_kept_where_read():
     assert run(["verify-all", "--tol", "0"]).exit_code == 1
 
 
+@pytest.mark.parametrize("command", [["verify-all"], ["forms", "verify", "product"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "Infinity", "-1e-12", "abc"])
+def test_tol_must_be_finite_and_non_negative(command, tol):
+    # inf would pass every numeric check and nan fail every one.
+    r = run([*command, "--tol", tol])
+    assert (r.exit_code, r.stdout) == (2, "")
+    err = json.loads(r.stderr)["error"]
+    assert err["kind"] == "input" and "--tol" in err["message"]
+
+
 def test_unknown_command_exit_two():
     assert run(["frobnicate"]).exit_code == 2
     assert run([]).exit_code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["frobnicate"], "ihskit: argument command: invalid choice: 'frobnicate'"),
+    ([], "ihskit: the following arguments are required: command"),
+    (["numerology", "--t", "abc"], "ihskit numerology: argument --t: invalid int value: 'abc'"),
+    (["lattice"], "ihskit lattice: the following arguments are required: subcommand"),
+    (["delta", "enum"], "ihskit delta enum: the following arguments are required: --lattice"),
+])
+def test_argument_errors_are_json_errors(argv, message):
+    r = run(argv)
+    assert (r.exit_code, r.stdout) == (2, "")
+    err = json.loads(r.stderr)
+    assert list(err) == ["error"] and err["error"]["kind"] == "input"
+    assert err["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lattice", "-h"], ["numerology", "--help"],
+                                  ["forms", "expand", "--help"]])
+def test_help_is_captured_on_stdout(argv, capsys):
+    r = run(argv)
+    assert (r.exit_code, r.stderr) == (0, "")
+    assert r.stdout.startswith("usage: ihskit")
+    assert capsys.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# The parser and the import graph
+
+
+def test_run_builds_one_parser_per_process(monkeypatch):
+    run(["numerology", "--t", "1"])  # the first call in the process may build it
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    for argv in (["numerology", "--t", "3"], ["lattice", "info", "--name", "U"],
+                 ["frobnicate"], ["forms", "expand", "--help"], ["verify-all", "--tol", "nan"]):
+        run(argv)
+    assert built == []
+    cli.build_parser()  # the counter sees a build: the top parser plus one per table entry
+    assert len(built) == 1 + len(cli.COMMANDS)
+
+
+def test_import_cli_leaves_the_domain_modules_unloaded():
+    # The benchmark's set-up probe calls build_parser() and lattice_mod too.
+    code = ("import json, sys\n"
+            "import ihskit.cli as cli\n"
+            "cli.lattice_mod.build_standard('L2')\n"
+            "cli.build_parser()\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('ihskit'))\n"
+            "cli.run(['numerology', '--t', '1'])\n"
+            "print(json.dumps([loaded, 'ihskit.torsion' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    loaded, torsion_after_run = json.loads(out.stdout)
+    assert loaded == ["ihskit", "ihskit.cli", "ihskit.errors", "ihskit.exactmat",
+                      "ihskit.jsonio", "ihskit.lattice"]
+    assert torsion_after_run
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing argv: every call ends in a result or a JSON error
+
+
+FUZZ_DOCS = {
+    "sub.json": {"label": "M", "basis": [[1 if i in (16, 17) else 0 for i in range(23)],
+                                         [1 if i == 22 else 0 for i in range(23)]]},
+    "sub3.json": {"label": "R3", "basis": [[1 if i == k else 0 for i in range(23)]
+                                           for k in range(3)]},
+    "lat.json": {"label": "A2x", "gram": [[2, -1], [-1, 4]]},
+    "iso.json": {"lattice": "U", "matrix": [[0, 1], [1, 0]]},
+    "spectrum.json": {"kind": "power", "a": 1, "p": 2, "w": 2},
+    "spectra.json": {"1": {"kind": "finite", "entries": [[2.0, 1]]}},
+    "ing.json": {"tau_iota": 2.0, "vol_X": 1.5, "tau_O_fix": 1.0, "vol_fix": 1.25,
+                 "vol_L2_H1": 0.75, "t": -17},
+    "gens.json": {"generators": [[[1, 0], [0, -1]]]},
+    "bad.json": "not json",
+}
+# Values that make each option valid, so that a fair share of calls succeed.
+FUZZ_GOOD = {
+    "--name": ["L2", "U", "E8"], "--file": ["lat.json", "iso.json"], "--scale": ["1", "-2"],
+    "--m0": ["Zh", "U", "1,0"], "--lattice": ["sub.json", "sub3.json"], "--ambient": ["L2"],
+    "--bound": ["5", "50"], "--anchor": ["1,0"], "--generators": ["gens.json"],
+    "check": ["product", "tables", "all"], "--tol": ["1e-10", "0"],
+    "--series": ["todd", "eq-ch", "ch-dual"], "--weight": ["0", "4", "12"],
+    "--spectrum": ["spectrum.json"], "--spectra": ["spectra.json"], "--dim": ["2", "4"],
+    "--ingredients": ["ing.json"], "--t": ["-17", "1", "21"], "--format": ["json", "text"],
+    "--out": ["out.json"],
+}
+FUZZ_JUNK = ["-1", "0", "33", str(10 ** 6), str(2 ** 80), str(-2 ** 80), "nan", "inf",
+             "-inf", "1e-3", "abc", "", "0,1", "zz", "-h", "--bogus", "bad.json", "absent.json",
+             "no-dir/out.json", "lat.json"]
+FUZZ_OPTIONS = {path: [flag for flag, _ in options] + ["--format", "--out"]
+                for path, _, handler, options in cli.COMMANDS if handler is not None}
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A command path from the table, most of its options with mostly good
+    values, and sometimes a few junk tokens after them."""
+    path = draw(st.sampled_from([path for path, *_ in cli.COMMANDS] + ["", "frobnicate"]))
+    argv = path.split()
+    good_or_junk = st.sampled_from(["good"] * 3 + ["junk"])
+    for flag in FUZZ_OPTIONS.get(path, []):
+        if draw(good_or_junk) == "good":
+            pool = FUZZ_GOOD[flag] if draw(good_or_junk) == "good" else FUZZ_JUNK
+            value = draw(st.sampled_from(pool))
+            argv += [value] if flag == "check" else [flag, value]
+    junk = st.sampled_from(sorted(FUZZ_GOOD)) | st.sampled_from(FUZZ_JUNK)
+    return argv + draw(st.lists(junk, max_size=2)) if draw(good_or_junk) == "junk" else argv
+
+
+def _strict_json(text: str):
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+
+
+def _check_output(text: str, argv: list[str]):
+    """Help, an SVG plot, a text rendering, or else strict JSON."""
+    if text.startswith("usage: ihskit"):
+        assert "-h" in argv, argv
+    elif text.startswith("<svg"):
+        assert argv[:2] == ["chambers", "plot"], argv
+    elif text and "text" not in argv:
+        return _strict_json(text)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzz_argv())
+def test_fuzz_argv_gives_a_result_or_a_json_error(argv, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_DOCS.items():
+        (tmp / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    argv = [str(tmp / t) if t.endswith(".json") else t for t in argv]
+    cwd = os.getcwd()
+    os.chdir(tmp)  # a junk --out value is a relative path
+    try:
+        r = run(argv)
+    finally:
+        os.chdir(cwd)
+    assert r.exit_code in (0, 1, 2), argv
+    if r.exit_code == 0 or r.stdout or r.stderr.startswith("wrote "):
+        # A result; exit 1 only for a verification that ran and failed.
+        payload = _check_output(r.stdout, argv)
+        if r.stderr:
+            assert r.stderr.startswith("wrote "), argv
+            written = _check_output((tmp / r.stderr[len("wrote "):-1]).read_text(), argv)
+            payload = payload or written
+        if r.exit_code:
+            assert r.exit_code == 1 and "--tol" in argv, argv
+            assert payload is None or payload["all_passed"] is False, argv
+    else:
+        err = _strict_json(r.stderr)
+        assert list(err) == ["error"] and isinstance(err["error"]["message"], str), argv

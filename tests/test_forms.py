@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihskit.errors import IhskitError
+from ihskit.errors import IhskitError, InputError
 from ihskit.forms import (
     GENERATORS,
+    MAX_WEIGHT,
     GradedElement,
     ch_bundle,
     chern_values_from_roots,
@@ -61,6 +62,23 @@ def test_truncation_above_cap():
 def test_cap_mismatch_rejected():
     with pytest.raises(IhskitError):
         gen("c1F", 2) + gen("c1F", 3)
+
+
+@pytest.mark.parametrize("cap", [-1, MAX_WEIGHT + 1])
+@pytest.mark.parametrize("build", [
+    scalar_todd, scalar_sigmoid, scalar_exp, todd_series, sigmoid_det_factor,
+    equivariant_todd, equivariant_ch_cotangent, normal_relations,
+    lambda cap: ch_bundle("c1F", "c2F", cap=cap),
+    lambda cap: GradedElement.generator("c1F", cap)])
+def test_weight_cap_outside_range_refused(build, cap):
+    # At -3 scalar_todd raised IndexError; at 60 eq-todd ran for 8 s.
+    with pytest.raises(InputError, match=f"between 0 and {MAX_WEIGHT}, got {cap}"):
+        build(cap=cap)
+
+
+def test_weight_cap_at_max_accepted():
+    assert len(scalar_todd(MAX_WEIGHT)) == MAX_WEIGHT + 1
+    assert todd_series(cap=MAX_WEIGHT).cap == MAX_WEIGHT
 
 
 def test_unknown_generator_rejected():

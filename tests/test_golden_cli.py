@@ -5,9 +5,9 @@ Every command below must give the exit code, stdout and stderr (and, with
 Input documents are written under a temporary directory, whose path is
 replaced by ``<tmp>`` before hashing.
 
-Argument errors that argparse reports inside a subcommand are left out: their
-usage line lists every option of the subcommand, so they are covered by the
-tests of the options themselves.
+Argument errors that argparse reports inside a subcommand are left out:
+``test_cli.py`` checks their JSON error shape and the tests of each option
+check its refusals.
 
 To record the digests again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
