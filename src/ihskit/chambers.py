@@ -93,7 +93,11 @@ def _binary_form_solutions(gram: Sequence[Sequence[int]], target: int) -> list[V
 
     Requires target != 0.  Square discriminant makes the form factor into two
     rational linear forms, so solutions biject with divisor pairs of a bounded
-    integer; anything else is left to the bounded box search.
+    integer; anything else is left to the bounded box search.  With a != 0,
+    a Q = (a x + (b - s) y)(a x + (b + s) y), and the contents of the two
+    factors multiply to |a| k with k = gcd(a, 2 b, c) (Gauss's lemma), so the
+    first factor is gcd(a, b - s) times a divisor of target / k: the search
+    costs O(sqrt|target|) however large the Gram entries are.
     """
     a, b, c = gram[0][0], gram[0][1], gram[1][1]
     disc = b * b - a * c
@@ -105,9 +109,9 @@ def _binary_form_solutions(gram: Sequence[Sequence[int]], target: int) -> list[V
     s = root
     sols: set[Vec2] = set()
     if a != 0:
-        # a * Q = (a x + (b - s) y)(a x + (b + s) y)
         rhs = a * target
-        for u in _signed_divisors(rhs):
+        content, k = math.gcd(a, b - s), math.gcd(a, 2 * b, c)
+        for u in [content * d for d in _signed_divisors(target // k)] if target % k == 0 else []:
             v = rhs // u
             num_y = v - u
             if num_y % (2 * s):
@@ -244,9 +248,8 @@ def classify_delta(m: Sublattice, coords: Sequence[int]) -> int:
         raise ChamberError("last basis vector is not an orthogonal -2 summand")
     if _wall_condition(induced.gram, m, coords) is None:
         raise ChamberError(f"{tuple(coords)} is not a wall vector of this sublattice")
-    d = list(coords[:r - 1])
-    d_norm = sum(d[i] * induced.gram[i][j] * d[j]
-                 for i in range(r - 1) for j in range(r - 1))
+    d = coords[:r - 1]
+    d_norm = induced.norm([*d, 0])  # e is orthogonal to M0
     if d_norm >= 0:
         return 1
     if d_norm == -2:
@@ -341,7 +344,7 @@ def chambers_rank2(delta: DeltaSet, anchor: Sequence[int]) -> list[Chamber2]:
     boundary = [orient(r) for r in _isotropic_rays(induced.gram)]
     rays: dict[Vec2, BoundaryTag] = {r: BoundaryTag("isotropic") for r in boundary}
     for coords in delta.vectors:
-        gv = exactmat.mat_vec(induced.gram, list(coords))
+        gv = induced.pairing(coords)
         ray = orient(_primitive((-gv[1], gv[0])))
         if ray not in rays:
             rays[ray] = BoundaryTag("wall", tuple(coords))

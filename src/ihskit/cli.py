@@ -271,20 +271,21 @@ def _cmd_delta(args) -> dict:
     }
 
 
-def _chambers_common(args) -> tuple[chambers_mod.DeltaSet, list[chambers_mod.Chamber2]]:
+def _chambers_common(args) -> tuple[chambers_mod.DeltaSet, tuple[int, int],
+                                     list[chambers_mod.Chamber2]]:
     from . import chambers as chambers_mod
 
     sub = _load_sublattice(args.lattice, args.ambient)
     anchor = _parse_vec2(args.anchor, "--anchor")
     chambers_mod.check_rank2(sub)
     delta = chambers_mod.enumerate_delta(sub)
-    return delta, chambers_mod.chambers_rank2(delta, anchor)
+    return delta, anchor, chambers_mod.chambers_rank2(delta, anchor)
 
 
 def _cmd_chambers_rank2(args) -> dict:
     from . import chambers as chambers_mod
 
-    delta, chams = _chambers_common(args)
+    delta, anchor, chams = _chambers_common(args)
     m0 = _parse_vec2(args.m0, "--m0") if args.m0 else None
     entries = []
     for i, c in enumerate(chams):
@@ -301,7 +302,7 @@ def _cmd_chambers_rank2(args) -> dict:
         entries.append(entry)
     return {
         "lattice": delta.sublattice.label,
-        "anchor": list(_parse_vec2(args.anchor, "--anchor")),
+        "anchor": list(anchor),
         "wall_count": len(delta),
         "chambers": entries,
     }
@@ -310,9 +311,9 @@ def _cmd_chambers_rank2(args) -> dict:
 def _cmd_chambers_orbits(args) -> dict:
     from . import chambers as chambers_mod
 
-    delta, chams = _chambers_common(args)
+    delta, _, chams = _chambers_common(args)
     doc = jsonio.load_document(args.generators)
-    if not isinstance(doc, dict) or "generators" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("generators"), list):
         raise InputError("generators document needs a 'generators' list")
     gens = [jsonio.parse_int_matrix(g, "generator") for g in doc["generators"]]
     orbits = chambers_mod.chamber_orbits(chams, delta, gens)
@@ -326,7 +327,7 @@ def _cmd_chambers_orbits(args) -> dict:
 def _cmd_chambers_plot(args) -> tuple[dict, str]:
     from . import chambers as chambers_mod
 
-    delta, chams = _chambers_common(args)
+    delta, _, chams = _chambers_common(args)
     svg = chambers_mod.chambers_svg(delta, chams)
     return {"chambers": len(chams), "svg_bytes": len(svg.encode())}, svg
 
@@ -624,10 +625,13 @@ def run(argv: Sequence[str]) -> CommandResult:
     else:
         payload = result
 
-    if args.format == "text":
-        rendered = "\n".join(_render_text(payload)) + "\n"
-    else:
-        rendered = jsonio.dumps_payload(payload) + "\n"
+    try:
+        if args.format == "text":
+            rendered = "\n".join(_render_text(payload)) + "\n"
+        else:
+            rendered = jsonio.dumps_payload(payload) + "\n"
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        return _error(1, "ValueError", f"cannot write the result: {exc}")
 
     out_text = raw_text if raw_text is not None else rendered
     diagnostics = ""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 Row = Sequence
 Matrix = Sequence[Row]
@@ -52,10 +52,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
                for ra, rb in zip(a, b))
 
 
-def mat_fraction(a: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in a]
-
-
 def is_integral(a: Matrix) -> bool:
     return all(Fraction(x).denominator == 1 for row in a for x in row)
 
@@ -85,28 +81,14 @@ def det_int(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det_fraction(a: Matrix) -> Fraction:
-    """Determinant over Q by Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = mat_fraction(a)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                factor = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return det
+def scaled(a: Matrix) -> tuple[list[list[int]], int]:
+    """A rational matrix as (integer entries, least positive common
+    denominator).  Entries may be ints, Fractions or floats; a float enters
+    by its exact binary value, and a non-finite one raises ValueError or
+    OverflowError."""
+    a = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in a]
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
 def sparse_rows(a: Matrix) -> list[list[tuple[int, object]]]:
@@ -169,12 +151,12 @@ def rref_insert(rows: list[list[int]], pivots: list[int], row: Row) -> bool:
     return True
 
 
-def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> list[tuple[list[int], int]]:
+def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> Iterator[tuple[list[int], int]]:
     """Basis of the right null space of a reduced row-echelon basis kept by
     ``rref_insert``: one vector per free column, in ascending order, with a 1
-    in that column.  Each vector is returned as (integer entries, positive
-    common denominator) with gcd(den, *entries) = 1."""
-    basis = []
+    in that column.  Each vector is yielded, built only when it is asked
+    for, as (integer entries, positive common denominator) with
+    gcd(den, *entries) = 1.  The basis must not change while it is read."""
     pivot_set = set(pivots)
     for c in range(cols):
         if c in pivot_set:
@@ -186,8 +168,7 @@ def rref_kernel(rows: Matrix, pivots: Sequence[int], cols: int) -> list[tuple[li
         for row, p in used:
             vec[p] = -row[c] * (den // row[p])
         g = math.gcd(*vec)
-        basis.append(([x // g for x in vec], den // g))
-    return basis
+        yield [x // g for x in vec], den // g
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import exactmat
 from .errors import IsometryError
 from .lattice import (Lattice, Sublattice, build_standard, is_2_elementary, is_hyperbolic,
-                      signature)
+                      orthogonal_basis, signature)
 
 Matrix = tuple[tuple, ...]
 
@@ -108,35 +108,18 @@ def product_of_reflections(lat: Lattice, mirrors: Sequence[Sequence]) -> Isometr
     ``IsometryError``.  The product is built by the integer rank-1 updates
     of ``_product`` and validated once.
     """
-    pair = _pairing(lat)
-    factors = []
-    for m in mirrors:
-        lat._check_vector(m)
-        numerators = _scaled([[Fraction(x) for x in m]])[0][0]
-        factors.append(_mirror(pair, numerators))
+    factors = [_mirror(lat, exactmat.scaled([m])[0][0]) for m in mirrors]
     matrix, den = _product(lat.rank, factors)
     if den != 1:
         matrix = [[Fraction(x, den) for x in row] for row in matrix]
     return Isometry(lat, matrix)
 
 
-def _scaled(matrix: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """A rational matrix as (integer entries, least positive common denominator)."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in matrix], den
-
-
-def _pairing(lat: Lattice):
-    """The map x -> G x, summing over the nonzero Gram entries only."""
-    gram = lat.sparse_gram
-    return lambda v: [sum(a * v[j] for j, a in row) for row in gram]
-
-
-def _mirror(pair, mirror: list[int]) -> tuple[list[int], list[int], int]:
+def _mirror(lat: Lattice, mirror: list[int]) -> tuple[list[int], list[int], int]:
     """An integer mirror as (m, G m, (m, m)); an isotropic mirror raises
     IsometryError.  A reflection does not change when its mirror is scaled,
     so a rational mirror enters through its numerators."""
-    gram_m = pair(mirror)
+    gram_m = lat.pairing(mirror)
     norm = sum(a * b for a, b in zip(mirror, gram_m))
     if norm == 0:
         raise IsometryError("cannot reflect in an isotropic vector")
@@ -184,47 +167,30 @@ def _reflection_factors(g: Isometry) -> list[tuple[tuple, Fraction]]:
     """The Cartan-Dieudonne mirrors of ``g`` in list order, each with its
     norm (m, m); see ``cartan_dieudonne``."""
     n = g.rank
-    pair = _pairing(g.lattice)
-
-    def dot(u: Sequence, v: Sequence):
-        return sum(a * b for a, b in zip(u, v))
+    lat = g.lattice
 
     # The reduced isometry is current / den; a mirror is (numerators, den).
-    target = _scaled(g.matrix)
+    target = exactmat.scaled(g.matrix)
     current, den = list(target[0]), target[1]
     factors: list[tuple[tuple, int]] = []
 
     def apply_left(mirror: list[int], mirror_den: int) -> None:
         nonlocal den
-        factor = _mirror(pair, mirror)
+        factor = _mirror(lat, mirror)
         factors.append((factor, mirror_den))
         den = _reflect_rows(current, den, *factor)
 
-    # Reduced row-echelon basis of the pairing rows G x of the clamped vectors;
-    # its kernel is their orthocomplement.
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    while len(rows) < n:
-        basis = exactmat.rref_kernel(rows, pivots, n)
-        x = next(((w, d) for w, d in basis if dot(w, pair(w)) != 0), None)
-        if x is None:
-            # Nondegenerate subspace of isotropic basis vectors: some pair
-            # pairs nontrivially and their sum is anisotropic.
-            (u, du), (w, dw) = next((u, w) for u in basis for w in basis
-                                    if dot(u[0], pair(w[0])) != 0)
-            x = [a * dw + b * du for a, b in zip(u, w)], du * dw
-        x, x_den = x
+    for x, x_den, _ in orthogonal_basis(lat):
         # g(x) = current x / (den x_den); scale x - g(x) and x + g(x) by den x_den.
         support = [(j, v) for j, v in enumerate(x) if v]
         gx = [sum(row[j] * v for j, v in support) for row in current]
         diff = [den * a - b for a, b in zip(x, gx)]
         if any(diff):
-            if dot(diff, pair(diff)) != 0:
+            if lat.norm(diff) != 0:
                 apply_left(diff, den * x_den)
             else:
                 apply_left([den * a + b for a, b in zip(x, gx)], den * x_den)
                 apply_left(x, x_den)
-        exactmat.rref_insert(rows, pivots, pair(x))
     if den != 1 or current != exactmat.identity(n):
         raise IsometryError("reflection factorization failed to terminate")
     # The loop built r_k ... r_1 g = 1, so g = r_1 r_2 ... r_k (involutions).
@@ -240,25 +206,23 @@ def cartan_dieudonne(g: Isometry) -> list[tuple]:
     Returns mirror vectors (rational tuples); the product of their reflections
     in list order equals ``g``.  The identity factors as the empty list.
 
-    At each step an anisotropic vector x of the remaining orthocomplement is
-    clamped: when x - g(x) is anisotropic a single reflection sends g(x) back
-    to x, otherwise x + g(x) is anisotropic (the two norms add up to 4 (x, x))
-    and s_x composed with s_{x + g(x)} does the job.
+    The vectors x of ``lattice.orthogonal_basis`` are clamped in turn, each
+    in the orthocomplement of those before it: when x - g(x) is anisotropic
+    a single reflection sends g(x) back to x, otherwise x + g(x) is
+    anisotropic (the two norms add up to 4 (x, x)) and s_x composed with
+    s_{x + g(x)} does the job.
 
     Each step costs O(rank^2) exact integer operations.  Every rational
     vector and matrix is carried fraction-free, as integer entries over one
     positive common denominator divided by their gcd after each update:
-    each reflection is a rank-1 update (``_reflect_rows``), the pairing row
-    G x of the clamped vector is added once to a reduced row-echelon basis
-    (``exactmat.rref_insert``) whose kernel is the orthocomplement, and
-    pairings use only the nonzero Gram entries.  (A step whose complement
-    basis is all isotropic searches its pairs, O(rank^3).)  Scaling changes
-    neither a reflection nor the reduced basis, so the mirrors are those of
-    the same algorithm over Q; a ``Fraction`` is built only for the returned
-    mirrors.  Two runtime checks guard the result: the reduced isometry must
-    end as exactly the identity over the denominator 1, and the product of
-    the emitted reflections, rebuilt by the same integer updates, must equal
-    ``g``.  An isotropic mirror raises ``IsometryError``.
+    each reflection is a rank-1 update (``_reflect_rows``), and pairings use
+    only the nonzero Gram entries (``Lattice.pairing``).  Scaling changes
+    neither a reflection nor the orthogonal basis, so the mirrors are those
+    of the same algorithm over Q; a ``Fraction`` is built only for the
+    returned mirrors.  Two runtime checks guard the result: the reduced
+    isometry must end as exactly the identity over the denominator 1, and
+    the product of the emitted reflections, rebuilt by the same integer
+    updates, must equal ``g``.  An isotropic mirror raises ``IsometryError``.
     """
     return [mirror for mirror, _ in _reflection_factors(g)]
 

@@ -113,7 +113,12 @@ def load_document(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    # Besides malformed JSON, json.loads raises ValueError on an integer
+    # literal longer than sys.get_int_max_str_digits() and RecursionError on
+    # arrays or objects nested too deeply.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc

@@ -1,21 +1,24 @@
 """Integral quadratic lattices: Gram data, classical invariants, catalog.
 
 A lattice here is a free Z-module of finite rank with an integer Gram matrix.
-Signatures are computed by exact rational congruence diagonalization, the
-discriminant group by Smith normal form, so every invariant in this module is
-exact.
+``Lattice.pairing`` (x -> G x over the nonzero Gram entries) is the one
+place a vector is paired with the lattice.  Signatures are read off an
+orthogonal basis built over Z by a fraction-free orthocomplement walk, the
+one the Cartan-Dieudonne factorization clamps, and the discriminant group
+comes from the Smith normal form, so every invariant in this module is exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import exactmat
 from .errors import LatticeError
@@ -29,6 +32,10 @@ _CATALOG_DEFAULT = Path(__file__).parent / "data" / "catalog.json"
 
 def _freeze_gram(gram: Sequence[Sequence[int]]) -> Gram:
     return tuple(tuple(int(x) for x in row) for row in gram)
+
+
+def _dot(u: Sequence, v: Sequence):
+    return sum(map(operator.mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,16 @@ class Lattice:
             raise LatticeError(
                 f"vector length {len(v)} does not match rank {self.rank}")
 
+    def pairing(self, v: Sequence) -> list:
+        """G v: entry i is the pairing of v with the i-th basis vector.
+        Only the nonzero Gram entries are summed; ``v`` may be rational."""
+        self._check_vector(v)
+        return [sum([a * v[j] for j, a in row]) for row in self.sparse_gram]
+
     def inner(self, x: Sequence, y: Sequence):
         """Bilinear pairing (x, y) in this lattice's Gram form."""
         self._check_vector(x)
-        self._check_vector(y)
-        return sum(x[i] * self.gram[i][j] * y[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return _dot(x, self.pairing(y))
 
     def norm(self, x: Sequence):
         """Self-intersection (x, x)."""
@@ -114,40 +125,46 @@ def rescale(lat: Lattice, k: int, label: str | None = None) -> Lattice:
     return Lattice(label, _freeze_gram([[k * x for x in row] for row in lat.gram]))
 
 
-def signature(lat: Lattice) -> tuple[int, int]:
-    """Signature (positive, negative) via exact congruence diagonalization."""
+def orthogonal_basis(lat: Lattice) -> Iterator[tuple[list[int], int, int]]:
+    """An orthogonal basis of L (x) Q of anisotropic vectors, yielded one at
+    a time as (integer entries, positive common denominator, norm of the
+    integer entries).
+
+    Each vector lies in the orthocomplement of those before it: the kernel
+    (``exactmat.rref_kernel``, read lazily) of the reduced row-echelon basis
+    of their pairing rows G x.  It is the first anisotropic kernel vector
+    or, when all of them are isotropic, the sum of the first pair that pairs
+    nontrivially, whose norm is twice that pairing.  The complement of a
+    nondegenerate subspace is nondegenerate, so such a pair exists.  The
+    vectors depend on G alone; the Cartan-Dieudonne factorization clamps
+    them in this order.  Each step costs O(rank^2) integer operations.
+    """
     n = lat.rank
-    m = exactmat.mat_fraction(lat.gram)
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is None:
-            # All diagonal entries vanish; make one nonzero with x_i -> x_i + x_j.
-            pair = next(((i, j) for i in active for j in active
-                         if i != j and m[i][j] != 0), None)
-            if pair is None:
-                raise LatticeError("Gram matrix must be nondegenerate")
-            i, j = pair
-            for c in range(n):
-                m[i][c] += m[j][c]
-            for r in range(n):
-                m[r][i] += m[r][j]
-            pivot = i
-        p = m[pivot][pivot]
-        if p > 0:
-            pos += 1
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for _ in range(n):
+        isotropic = []
+        for x, den in exactmat.rref_kernel(rows, pivots, n):
+            gram_x = lat.pairing(x)
+            norm = _dot(x, gram_x)
+            if norm:
+                break
+            isotropic.append((x, den, gram_x))
         else:
-            neg += 1
-        active.remove(pivot)
-        for i in active:
-            if m[i][pivot] != 0:
-                factor = m[i][pivot] / p
-                for c in range(n):
-                    m[i][c] -= factor * m[pivot][c]
-                for r in range(n):
-                    m[r][i] -= factor * m[r][pivot]
-    return pos, neg
+            (u, du, gu), (w, dw, gw) = next((a, b) for a in isotropic for b in isotropic
+                                            if _dot(a[0], b[2]))
+            x, den = [a * dw + b * du for a, b in zip(u, w)], du * dw
+            gram_x = [a * dw + b * du for a, b in zip(gu, gw)]
+            norm = _dot(x, gram_x)
+        yield x, den, norm
+        exactmat.rref_insert(rows, pivots, gram_x)
+
+
+def signature(lat: Lattice) -> tuple[int, int]:
+    """Signature (positive, negative): the signs of the norms of an
+    orthogonal basis (Sylvester's law of inertia)."""
+    pos = sum(norm > 0 for _, _, norm in orthogonal_basis(lat))
+    return pos, lat.rank - pos
 
 
 def is_hyperbolic(lat: Lattice) -> bool:
@@ -170,12 +187,7 @@ def is_2_elementary(lat: Lattice) -> bool:
 
 def divisibility(lat: Lattice, v: Sequence[int]) -> int:
     """div(v) = the positive generator of the ideal (v, L) of Z."""
-    lat._check_vector(v)
-    pairings = [sum(lat.gram[i][j] * v[j] for j in range(lat.rank))
-                for i in range(lat.rank)]
-    g = 0
-    for p in pairings:
-        g = math.gcd(g, p)
+    g = math.gcd(*lat.pairing(v))
     if g == 0:
         raise LatticeError("divisibility of the zero vector is undefined")
     return g
@@ -239,22 +251,19 @@ class Sublattice:
         return self._induced
 
     @cached_property
-    def _induced(self) -> Lattice:
-        gram = [[self.ambient.inner(u, v) for v in self.basis] for u in self.basis]
-        return Lattice(self.label or f"sub({self.ambient.label})", _freeze_gram(gram))
+    def _basis_pairings(self) -> tuple[list[int], ...]:
+        """G b for each basis vector b, in basis order."""
+        return tuple(self.ambient.pairing(v) for v in self.basis)
 
     @cached_property
-    def _pairing_columns(self) -> tuple[Vector, ...]:
-        """Entry [i][k]: the ambient pairing of basis vector k with coordinate vector i."""
-        rows = [[sum(g * x for g, x in zip(row, v)) for row in self.ambient.gram]
-                for v in self.basis]
-        return tuple(zip(*rows))
+    def _induced(self) -> Lattice:
+        gram = [[_dot(u, gv) for gv in self._basis_pairings] for u in self.basis]
+        return Lattice(self.label or f"sub({self.ambient.label})", _freeze_gram(gram))
 
     def ambient_divisibility(self, coords: Sequence[int]) -> int:
         """div of the embedded vector, read off the basis pairing rows."""
         self._check_coords(coords)
-        g = math.gcd(*(sum(c * p for c, p in zip(coords, col))
-                       for col in self._pairing_columns))
+        g = math.gcd(*(_dot(coords, col) for col in zip(*self._basis_pairings)))
         if g == 0:
             raise LatticeError("divisibility of the zero vector is undefined")
         return g
@@ -302,7 +311,10 @@ def build_standard(name: str, scale: int = 1) -> Lattice:
     # sign ("Z-2" is the rank-1 lattice with Gram [[-2]]).
     match = re.fullmatch(r"[Zz]_?(-?\d+)", name.strip())
     if match:
-        n = int(match.group(1), 10)
+        try:
+            n = int(match.group(1), 10)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise LatticeError(f"rank-1 lattice label {name[:20]}...: {exc}") from exc
         if n == 0:
             raise LatticeError("rank-1 lattice Z0 is degenerate")
         lat = Lattice(f"Z{n}", ((n,),))

@@ -18,7 +18,7 @@ final positive scalar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -207,20 +207,7 @@ class Numerology:
     coef_l34_minus: Fraction  # eigenbundle combination coefficient, -1 component
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "c1sq": self.c1sq,
-            "chi": self.chi,
-            "c2": self.c2,
-            "dim_def": self.dim_def,
-            "omega_int": self.omega_int,
-            "exp_vol": self.exp_vol,
-            "coef_curv16": self.coef_curv16,
-            "coef_curv8": self.coef_curv8,
-            "coef_prop32": self.coef_prop32,
-            "coef_l34_plus": self.coef_l34_plus,
-            "coef_l34_minus": self.coef_l34_minus,
-        }
+        return asdict(self)
 
 
 def numerology(t: int) -> Numerology:
@@ -263,9 +250,12 @@ def omega_integral_from_parts(t: int) -> Fraction:
 def gram_covolume(pairing: Sequence[Sequence], vectors: Sequence[Sequence] | None = None):
     """Determinant of the Gram matrix of ``vectors`` under a pairing table.
 
-    With ``vectors`` omitted the table itself is the Gram matrix.  Exact
-    (Fraction) when all inputs are rational, float otherwise.  Unimodular
-    integer changes of the vector list leave the result unchanged.
+    With ``vectors`` omitted the table itself is the Gram matrix.  The
+    determinant is computed exactly, float entries by their exact binary
+    values, and returned as a Fraction when all inputs are rational, as a
+    float otherwise.  Unimodular integer changes of the vector list leave
+    the result unchanged.  A non-finite entry, or a float result out of
+    range, raises TorsionError.
     """
     n = len(pairing)
     if any(len(row) != n for row in pairing):
@@ -274,37 +264,19 @@ def gram_covolume(pairing: Sequence[Sequence], vectors: Sequence[Sequence] | Non
         for j in range(i):
             if pairing[i][j] != pairing[j][i]:
                 raise TorsionError("pairing table must be symmetric")
+    gram = pairing
     if vectors is not None:
         if any(len(v) != n for v in vectors):
             raise TorsionError("vector length does not match the pairing table")
-        gram = [[sum(u[i] * pairing[i][j] * v[j] for i in range(n) for j in range(n))
-                 for v in vectors] for u in vectors]
-    else:
-        gram = [list(row) for row in pairing]
+        gram = exactmat.mat_mul(exactmat.mat_mul(vectors, pairing), exactmat.transpose(vectors))
     exact = all(isinstance(x, (int, Fraction)) and not isinstance(x, bool)
                 for row in gram for x in row)
-    if exact:
-        return exactmat.det_fraction(gram)
-    return _det_float(gram)
-
-
-def _det_float(gram: Sequence[Sequence[float]]) -> float:
-    m = [[float(x) for x in row] for row in gram]
-    n = len(m)
-    det = 1.0
-    for k in range(n):
-        pivot = max(range(k, n), key=lambda i: abs(m[i][k]))
-        if m[pivot][k] == 0:
-            return 0.0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return det
+    try:
+        entries, den = exactmat.scaled(gram)
+        det = Fraction(exactmat.det_int(entries), den ** len(entries))
+        return det if exact else float(det)
+    except (ValueError, OverflowError) as exc:
+        raise TorsionError(f"Gram covolume is not a finite number: {exc}") from exc
 
 
 @dataclass(frozen=True)

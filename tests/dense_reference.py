@@ -1,5 +1,6 @@
-"""Dense Fraction linear algebra and the dense Cartan-Dieudonne factorization,
-the test oracles for ``ihskit.exactmat`` and ``ihskit.isometry.cartan_dieudonne``.
+"""Dense Fraction linear algebra, congruence diagonalization and the dense
+Cartan-Dieudonne factorization: the test oracles for ``ihskit.exactmat``,
+``ihskit.lattice.signature`` and ``ihskit.isometry.cartan_dieudonne``.
 
 Everything here works on ``Fraction`` entries and builds each object from its
 definition, with dense products but none of the fraction-free kernels or the
@@ -82,6 +83,62 @@ def fraction_kernel(a) -> list[list[Fraction]]:
     for row in a:
         rref_insert(rows, pivots, row)
     return rref_kernel(rows, pivots, len(a[0]) if len(a) else 0)
+
+
+def det_fraction(a) -> Fraction:
+    """Determinant over Q by Gaussian elimination."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                factor = m[i][k] * inv
+                for j in range(k, n):
+                    m[i][j] -= factor * m[k][j]
+    return det
+
+
+def congruence_signature(gram) -> tuple[int, int]:
+    """Signature (positive, negative) of a nondegenerate symmetric matrix by
+    congruence diagonalization over Q: symmetric row and column operations
+    clear the rows and columns of one nonzero diagonal pivot at a time."""
+    n = len(gram)
+    m = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is None:
+            # All diagonal entries vanish; make one nonzero with x_i -> x_i + x_j.
+            i, j = next((i, j) for i in active for j in active if i != j and m[i][j] != 0)
+            for c in range(n):
+                m[i][c] += m[j][c]
+            for r in range(n):
+                m[r][i] += m[r][j]
+            pivot = i
+        p = m[pivot][pivot]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot)
+        for i in active:
+            if m[i][pivot] != 0:
+                factor = m[i][pivot] / p
+                for c in range(n):
+                    m[i][c] -= factor * m[pivot][c]
+                for r in range(n):
+                    m[r][i] -= factor * m[r][pivot]
+    return pos, neg
 
 
 def reflection_matrix(gram, mirror) -> list[list[Fraction]]:

@@ -7,6 +7,7 @@ import pytest
 from box_reference import box_walls
 from ihskit.chambers import (
     Completeness,
+    _binary_form_solutions,
     chamber_orbits,
     chambers_rank2,
     chambers_svg,
@@ -88,11 +89,12 @@ def test_rank_one_wall_sets():
 def test_scaled_families_closed_form():
     # M = Z(m h) + Z e inside the extended K3 lattice; the wall equations
     # reduce to b^2 - (ma)^2 in {1, 5}, so the answer is known in closed form.
+    # m = 2^80 makes (m h, m h) too large to enumerate its divisors.
     l2 = build_standard("L2")
     e = unit(23, 22)
     for block in ((16, 17), (18, 19)):
         h = unit(23, *block)
-        for m in range(1, 7):
+        for m in (*range(1, 7), 2 ** 80):
             sub = Sublattice(l2, (tuple(m * x for x in h), e), label=f"M{m}")
             delta = enumerate_delta(sub)
             assert delta.completeness.kind == "exact", m
@@ -102,6 +104,38 @@ def test_scaled_families_closed_form():
                 expected |= {(a, 3), (a, -3), (-a, 3), (-a, -3)}
             assert set(delta.vectors) == expected, (block, m)
             assert list(delta.vectors) == brute_walls(sub, 20) or m > 2
+
+
+def divisor_pair_solutions(gram, target):
+    """The solutions of a x^2 + 2 b x y + c y^2 = target, a != 0, with square
+    discriminant s^2: one candidate per divisor u of a * target, from
+    a * target = (a x + (b - s) y)(a x + (b + s) y)."""
+    a, b, c = gram[0][0], gram[0][1], gram[1][1]
+    s = isqrt(b * b - a * c)
+    rhs = a * target
+    out = set()
+    for u in (sign * d for d in range(1, abs(rhs) + 1) if rhs % d == 0 for sign in (1, -1)):
+        y, rem = divmod(rhs // u - u, 2 * s)
+        if not rem and (u - (b - s) * y) % a == 0:
+            out.add(((u - (b - s) * y) // a, y))
+    return sorted(out)
+
+
+def test_binary_form_solutions_match_every_divisor_pair():
+    # Forms with square discriminant and Gram entries sharing factors, so the
+    # contents of the two linear factors are often not 1.
+    rng = random.Random(402)
+    checked = 0
+    while checked < 400:
+        k = rng.choice((1, 1, 2, 3, 5, 6))
+        a, b, c = (k * rng.randint(-6, 6) for _ in range(3))
+        disc = b * b - a * c
+        if a == 0 or disc <= 0 or isqrt(disc) ** 2 != disc:
+            continue
+        for target in (-2, -10):
+            gram = ((a, b), (b, c))
+            assert _binary_form_solutions(gram, target) == divisor_pair_solutions(gram, target)
+        checked += 1
 
 
 def test_box_fallback_rank3_is_flagged():
@@ -172,21 +206,21 @@ def test_box_scan_matches_reference():
 
 def test_box_scan_pairs_no_candidate(monkeypatch):
     calls = 0
-    inner = Lattice.inner
+    pairing = Lattice.pairing
 
-    def counting(self, x, y):
+    def counting(self, v):
         nonlocal calls
         calls += 1
-        return inner(self, x, y)
+        return pairing(self, v)
 
-    monkeypatch.setattr(Lattice, "inner", counting)
+    monkeypatch.setattr(Lattice, "pairing", counting)
     l2 = build_standard("L2")
     m = Sublattice(l2, tuple(unit(23, i) for i in (0, 2, 3, 4)))
     delta = enumerate_delta(m, bound=8)
     assert delta.completeness.kind == "bounded"
-    # The r^2 pairings of the induced Gram matrix, then at most one per wall;
+    # The r pairings G b of the basis vectors, then at most one per wall;
     # a pairing per box candidate would be 17^4 - 1 = 83520.
-    assert m.rank ** 2 <= calls <= len(delta) + m.rank ** 2
+    assert m.rank <= calls <= len(delta) + m.rank ** 2
 
 
 def test_box_scan_refuses_oversize_box():

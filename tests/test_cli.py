@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ihskit import cli, forms
@@ -241,6 +241,17 @@ def test_chambers_orbits(tmp_path):
     assert p["orbits"] == [[1, 4], [2, 3]]
 
 
+@pytest.mark.parametrize("generators", [3, None, "x", {"a": 1}])
+def test_chambers_orbits_needs_a_generators_list(generators, tmp_path):
+    gens = tmp_path / "G.json"
+    gens.write_text(json.dumps({"generators": generators}))
+    r = run(["chambers", "orbits", "--lattice", write_flagship(tmp_path),
+             "--ambient", "L2", "--anchor", "1,0", "--generators", str(gens)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    assert json.loads(r.stderr)["error"] == {
+        "kind": "input", "message": "generators document needs a 'generators' list"}
+
+
 def test_chambers_plot_deterministic(tmp_path):
     m = write_flagship(tmp_path)
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -436,6 +447,57 @@ def test_tol_must_be_finite_and_non_negative(command, tol):
     assert err["kind"] == "input" and "--tol" in err["message"]
 
 
+@pytest.mark.parametrize("command", [["lattice", "info", "--file"],
+                                     ["zeta", "dzeta", "--spectrum"]])
+@pytest.mark.parametrize("data, reason", [
+    (b'{"gram": [[2]]}\xff', "is not UTF-8 text"),
+    (b'{"gram": [[1' + b"0" * 5000 + b']]}', "Exceeds the limit"),
+    (b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+])
+def test_unreadable_documents_are_input_errors(command, data, reason, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    r = run([*command, str(doc)])
+    assert (r.exit_code, r.stdout) == (2, "")
+    err = json.loads(r.stderr)["error"]
+    assert err["kind"] == "input" and str(doc) in err["message"] and reason in err["message"]
+
+
+def test_result_too_long_to_print_is_a_json_error(tmp_path):
+    # Each entry prints (3001 digits); the determinant, 6001 digits, does not.
+    doc = tmp_path / "big.json"
+    big = 10 ** 3000
+    doc.write_text(json.dumps({"gram": [[big, 0], [0, -big]]}))
+    for fmt in ("json", "text"):
+        r = run(["lattice", "info", "--file", str(doc), "--format", fmt])
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert json.loads(r.stderr)["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["numerology", "--t", "1"], 0, "stdout"),
+    (["--help"], 0, "stdout"),
+    (["verify-all", "--tol", "0"], 1, "stdout"),
+    (["lattice", "info", "--name", "NOPE"], 1, "stderr"),
+    (["numerology", "--t", "abc"], 2, "stderr"),
+])
+def test_main_exit_codes_and_streams(argv, code, stream):
+    # The console script: the exit code is the process status, the payload or
+    # --help goes to stdout, a JSON error to stderr and nothing to the other.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", "from ihskit.cli import main; main()", *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == code
+    text = getattr(out, stream)
+    assert text and not getattr(out, "stderr" if stream == "stdout" else "stdout")
+    if argv == ["--help"]:
+        assert text.startswith("usage: ihskit")
+    elif stream == "stdout":
+        assert json.loads(text)
+    else:
+        assert list(json.loads(text)) == ["error"]
+
+
 def test_unknown_command_exit_two():
     assert run(["frobnicate"]).exit_code == 2
     assert run([]).exit_code == 2
@@ -532,7 +594,7 @@ FUZZ_GOOD = {
 }
 FUZZ_JUNK = ["-1", "0", "33", str(10 ** 6), str(2 ** 80), str(-2 ** 80), "nan", "inf",
              "-inf", "1e-3", "abc", "", "0,1", "zz", "-h", "--bogus", "bad.json", "absent.json",
-             "no-dir/out.json", "lat.json"]
+             "no-dir/out.json", "lat.json", "Z" + "1" * 5000]
 FUZZ_OPTIONS = {path: [flag for flag, _ in options] + ["--format", "--out"]
                 for path, _, handler, options in cli.COMMANDS if handler is not None}
 
@@ -582,6 +644,13 @@ def test_fuzz_argv_gives_a_result_or_a_json_error(argv, tmp_path_factory):
         r = run(argv)
     finally:
         os.chdir(cwd)
+    _assert_result_or_json_error(r, argv, tmp)
+
+
+def _assert_result_or_json_error(r, argv: list[str], tmp: Path):
+    """Exit 0 with a result, exit 1 only for a verification that ran and
+    failed, or else exit 1 or 2 with a JSON error on stderr and nothing on
+    stdout."""
     assert r.exit_code in (0, 1, 2), argv
     if r.exit_code == 0 or r.stdout or r.stderr.startswith("wrote "):
         # A result; exit 1 only for a verification that ran and failed.
@@ -596,3 +665,109 @@ def test_fuzz_argv_gives_a_result_or_a_json_error(argv, tmp_path_factory):
     else:
         err = _strict_json(r.stderr)
         assert list(err) == ["error"] and isinstance(err["error"]["message"], str), argv
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing documents: each file a command reads, mutated
+
+
+HUGE = "HUGE-LITERAL"  # written as an integer literal over Python's 4300-digit limit
+DOC_COMMANDS = {  # command path: (file option, other arguments, a valid document)
+    "lattice info": ("--file", [], {"label": "A", "gram": [[2, -1, 0], [-1, 4, 1], [0, 1, -2]]}),
+    "isometry info": ("--file", [], FUZZ_DOCS["iso.json"]),
+    "isometry factor": ("--file", [], {"lattice": {"label": "D", "gram": [[2, 1], [1, -2]]},
+                                       "matrix": [[-1, 0], [0, -1]]}),
+    "delta enum": ("--lattice", ["--bound", "3"], dict(FUZZ_DOCS["sub.json"], ambient="L2")),
+    "chambers rank2": ("--lattice", ["--anchor", "1,0", "--m0", "1,0"],
+                       dict(FUZZ_DOCS["sub.json"], ambient="L2")),
+    "chambers plot": ("--lattice", ["--anchor", "1,0"], dict(FUZZ_DOCS["sub.json"], ambient="L2")),
+    "chambers orbits": ("--generators",
+                        ["--lattice", "sub.json", "--ambient", "L2", "--anchor", "1,0"],
+                        FUZZ_DOCS["gens.json"]),
+    "zeta dzeta": ("--spectrum", [], {"kind": "finite", "entries": [[2.0, 1.5], [3.0, -0.5]]}),
+    "torsion eq": ("--spectra", ["--dim", "4"],
+                   {"1": FUZZ_DOCS["spectrum.json"],
+                    "2": {"kind": "finite", "entries": [[2, 1]]}}),
+    "invariant assemble": ("--ingredients", [], dict(FUZZ_DOCS["ing.json"], A=1.0)),
+}
+FUZZ_LEAVES = [None, True, "x", "", "1,0", "U", "Z-2", "Z" + "1" * 5000, "finite", "nan",
+               "1e999", [], {}, [[]], 0, -1, 3, 2.5, 1e308, 2 ** 80, -2 ** 80, 10 ** 3000,
+               HUGE, {"num": "1", "den": "0"}, {"num": "2", "den": "3"}]
+DELETE = object()
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _mutate(value, path, leaf):
+    """``value`` with the entry at ``path`` replaced by ``leaf`` or deleted."""
+    if not path:
+        return None if leaf is DELETE else leaf
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    if leaf is DELETE and len(path) == 1:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = _mutate(value[path[0]], path[1:], leaf)
+    return copy
+
+
+@st.composite
+def fuzz_document(draw) -> tuple[str, bytes]:
+    """A command that reads a file, and that file: its valid document with a
+    few entries replaced by wrong types, nulls or huge integers, or deleted,
+    then sometimes spliced with raw bytes, truncated or deeply nested."""
+    command = draw(st.sampled_from(sorted(DOC_COMMANDS)))
+    doc = DOC_COMMANDS[command][2]
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = _mutate(doc, path, draw(st.sampled_from([DELETE, *FUZZ_LEAVES])))
+    data = json.dumps(doc).replace(f'"{HUGE}"', "1" + "0" * 5000).encode()
+    cut = draw(st.integers(0, len(data)))
+    edit = draw(st.sampled_from(["none"] * 6 + ["bytes", "truncate", "nest"]))
+    if edit == "bytes":
+        data = data[:cut] + draw(st.binary(min_size=1, max_size=4)) + data[cut:]
+    elif edit == "truncate":
+        data = data[:cut]
+    elif edit == "nest":
+        data = b"[" * 50000 + data + b"]" * 50000
+    return command, data
+
+
+FLAGSHIP_2_80 = dict(DOC_COMMANDS["delta enum"][2], basis=[
+    [2 ** 80 if i == 16 else int(i == 17) for i in range(23)],
+    [int(i == 22) for i in range(23)]])
+
+
+@settings(max_examples=800, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=fuzz_document())
+# Inputs that crashed or hung the program before they were refused or solved.
+@example(case=("chambers orbits", b'{"generators": 3}'))
+@example(case=("chambers orbits", b'{"generators": null}'))
+@example(case=("lattice info", b'{"gram": [[2]]}\xff'))
+@example(case=("zeta dzeta", b'\xfe{"kind": "power", "a": 1, "p": 2, "w": 2}'))
+@example(case=("lattice info", b'{"gram": [[1' + b"0" * 5000 + b']]}'))
+@example(case=("zeta dzeta", b'{"kind": "power", "a": 1' + b"0" * 5000 + b', "p": 2, "w": 2}'))
+@example(case=("lattice info", json.dumps({"gram": [[10 ** 3000, 0], [0, -10 ** 3000]]}).encode()))
+@example(case=("delta enum", json.dumps(FLAGSHIP_2_80).encode()))
+def test_fuzz_documents_give_a_result_or_a_json_error(case, tmp_path_factory):
+    command, data = case
+    flag, extra, _ = DOC_COMMANDS[command]
+    tmp = tmp_path_factory.mktemp("fuzzdoc")
+    (tmp / "sub.json").write_text(json.dumps(FUZZ_DOCS["sub.json"]))
+    (tmp / "doc.json").write_bytes(data)
+    argv = [*command.split(), flag, str(tmp / "doc.json"),
+            *(str(tmp / t) if t.endswith(".json") else t for t in extra)]
+    _assert_result_or_json_error(run(argv), argv, tmp)
+
+
+def test_fuzz_documents_cover_every_command_that_reads_a_file():
+    file_options = {"--file", "--lattice", "--generators", "--spectrum", "--spectra",
+                    "--ingredients"}
+    assert set(DOC_COMMANDS) == {path for path, _, _, options in cli.COMMANDS
+                                 if file_options & {flag for flag, _ in options}}

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import dense_cartan_dieudonne, fraction_kernel
+from dense_reference import congruence_signature, dense_cartan_dieudonne, fraction_kernel
 
 from ihskit import exactmat, isometry
 from ihskit.errors import IsometryError
@@ -13,7 +13,6 @@ from ihskit.lattice import (
     build_standard,
     direct_sum,
     is_hyperbolic,
-    signature,
 )
 from ihskit.isometry import (
     Isometry,
@@ -86,7 +85,7 @@ def minus_eigenspace_positive_index(g):
         scale = math.lcm(*(x.denominator for x in v))
         basis.append([int(x * scale) for x in v])
     gram = [[g.lattice.inner(u, w) for w in basis] for u in basis]
-    return signature(Lattice("minus", gram))[0]
+    return congruence_signature(gram)[0]
 
 
 def test_isometry_validation():
@@ -409,8 +408,10 @@ def test_nikulin_extension_rejects_bad_candidates(name):
 
 
 def test_make_admissible_reads_the_spinor_sign_without_factoring(monkeypatch):
-    # The sign comes from signatures: no reflection factorization, no
-    # reflection update and no orthocomplement.
+    # The sign comes from signatures: no reflection factorization and no
+    # reflection update.  A signature walks one orthocomplement step per
+    # rank: M0 in nikulin_extension (rank 1 or 2), the invariant lattice
+    # (rank 2 or 3) and L2 (rank 23).
     calls = {"_reflection_factors": 0, "_reflect_rows": 0, "rref_kernel": 0}
 
     def counting(key, fn):
@@ -423,10 +424,11 @@ def test_make_admissible_reads_the_spinor_sign_without_factoring(monkeypatch):
                          (exactmat, "rref_kernel")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     adms = [make_admissible(catalog_nikulin(m0)) for m0 in ("Zh", "U")]
-    assert calls == {"_reflection_factors": 0, "_reflect_rows": 0, "rref_kernel": 0}
+    walks = (1 + 2 + 23) + (2 + 3 + 23)
+    assert calls == {"_reflection_factors": 0, "_reflect_rows": 0, "rref_kernel": walks}
     for adm in adms:
         assert adm.spinor_norm == spinor_norm(adm.iota) == 1  # the factorization oracle
-    assert calls["_reflection_factors"] == 2 and calls["rref_kernel"] == 46
+    assert calls["_reflection_factors"] == 2 and calls["rref_kernel"] == walks + 46
     assert calls["_reflect_rows"] > 0
 
 

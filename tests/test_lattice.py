@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from conftest import random_unimodular
-from dense_reference import fraction_kernel
+from dense_reference import congruence_signature, fraction_kernel
 
 from ihskit import exactmat
 from ihskit.errors import LatticeError
@@ -20,6 +20,7 @@ from ihskit.lattice import (
     is_hyperbolic,
     is_primitive_sublattice,
     lattice_summary,
+    orthogonal_basis,
     rescale,
     signature,
 )
@@ -62,6 +63,8 @@ def test_parametric_rank_one():
     assert build_standard("Z-2").gram == ((-2,),)
     with pytest.raises(LatticeError):
         build_standard("Z0")
+    with pytest.raises(LatticeError, match="Exceeds the limit"):
+        build_standard("Z" + "1" * 5000)
 
 
 def test_rescale():
@@ -109,6 +112,52 @@ def test_signature_zero_diagonal_pivot():
     assert signature(build_standard("U")) == (1, 1)
     assert signature(Lattice("uu", ((0, 0, 0, 1), (0, 0, 1, 0),
                                     (0, 1, 0, 0), (1, 0, 0, 0)))) == (2, 2)
+
+
+def random_symmetric(rng, n, zero_diagonal=False):
+    """A random nondegenerate symmetric integer matrix with small, often zero,
+    entries; with ``zero_diagonal`` every basis vector is isotropic."""
+    while True:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if not zero_diagonal:
+                gram[i][i] = rng.choice([0, 2, -2, 1, -1, 3, -4])
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = rng.choice([0, 0, 1, -1, 2, -3])
+        if exactmat.det_int(gram):
+            return gram
+
+
+def signature_cases(rng):
+    """Dense Grams of ranks 1-23, block-diagonal and zero-diagonal Grams,
+    and the catalog."""
+    cases = [random_symmetric(rng, n) for n in range(1, 24) for _ in range(2)]
+    for _ in range(10):
+        blocks = [Lattice("b", random_symmetric(rng, rng.randint(1, 4)))
+                  for _ in range(rng.randint(2, 5))]
+        cases.append(direct_sum(*blocks).gram)
+    cases += [random_symmetric(rng, n, zero_diagonal=True)
+              for n in (2, 2, 3, 4, 4, 5, 6, 8, 10, 12) for _ in range(2)]
+    cases += [build_standard(label).gram for label in catalog_labels()]
+    return cases
+
+
+def test_signature_matches_congruence_diagonalization():
+    # The dense-reference oracle is an independent elimination over Q.
+    for gram in signature_cases(random.Random(211)):
+        lat = Lattice("t", gram)
+        assert signature(lat) == congruence_signature(gram), gram
+
+
+def test_orthogonal_basis_is_an_anisotropic_orthogonal_basis():
+    for gram in signature_cases(random.Random(212))[::3]:
+        lat = Lattice("t", gram)
+        triples = list(orthogonal_basis(lat))
+        basis = [x for x, _, _ in triples]
+        assert len(basis) == lat.rank and exactmat.det_int(basis) != 0
+        for i, (x, den, norm) in enumerate(triples):
+            assert den > 0 and norm == lat.norm(x) != 0
+            assert all(lat.inner(x, y) == 0 for y in basis[:i])
 
 
 def test_divisibility_frozen_cases():

@@ -212,6 +212,9 @@ def test_gram_covolume_float_path():
     v = gram_covolume([[1.5, 0.0], [0.0, 2.0]])
     assert isinstance(v, float)
     assert v == pytest.approx(3.0)
+    # Exact in the binary values of the entries, rounded once.
+    exact = Fraction(0.1) * Fraction(0.3) - Fraction(0.2) ** 2
+    assert gram_covolume([[0.1, 0.2], [0.2, 0.3]]) == float(exact)
 
 
 def test_gram_covolume_unimodular_invariance():
@@ -230,6 +233,10 @@ def test_gram_covolume_validation():
         gram_covolume([[1, 2, 3], [4, 5, 6]])  # not square
     with pytest.raises(TorsionError):
         gram_covolume([[0, 1], [1, 0]], [[1, 0, 0]])
+    for table in ([[math.inf, 0.0], [0.0, 1.0]], [[math.nan]],
+                  [[1e300, 0.0], [0.0, 1e300]]):  # the last overflows the float range
+        with pytest.raises(TorsionError):
+            gram_covolume(table)
 
 
 def test_assemble_invariant_spot_value():
