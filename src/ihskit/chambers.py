@@ -395,9 +395,8 @@ def chamber_orbits(chambers: Sequence[Chamber2], delta: DeltaSet,
         g = [[int(x) for x in row] for row in mat]
         if len(g) != 2 or any(len(row) != 2 for row in g):
             raise ChamberError("chamber generators must be 2x2 matrices")
-        gt = exactmat.transpose(g)
-        if not exactmat.mat_eq(exactmat.mat_mul(exactmat.mat_mul(gt, induced.gram), g),
-                               [list(r) for r in induced.gram]):
+        image_gram = exactmat.mat_mul(exactmat.mat_mul(exactmat.transpose(g), induced.gram), g)
+        if image_gram != list(map(list, induced.gram)):
             raise ChamberError("generator does not preserve the form")
         image_sample = tuple(exactmat.mat_vec(g, sample))
         if induced.inner(image_sample, sample) <= 0:

@@ -410,11 +410,15 @@ def _cmd_torsion(args) -> dict:
     if not isinstance(doc, dict):
         raise InputError("spectra document must map degrees to spectra")
     spectra = {}
+    keys: dict[int, str] = {}
     for key, value in doc.items():
         try:
             q = int(key, 10)
         except ValueError as exc:
             raise InputError(f"spectra keys must be integer degrees, got {key!r}") from exc
+        if q in keys:
+            raise InputError(f"spectra keys {keys[q]!r} and {key!r} name the same degree {q}")
+        keys[q] = key
         spectra[q] = _parse_spectrum_doc(value)
     tau = torsion_mod.equivariant_torsion(spectra, args.dim)
     return {"dim": args.dim, "torsion": tau, "log": math.log(tau)}

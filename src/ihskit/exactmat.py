@@ -41,17 +41,6 @@ def mat_vec(a: Matrix, v: Row) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-               for ra, rb in zip(a, b))
-
-
 def is_integral(a: Matrix) -> bool:
     return all(Fraction(x).denominator == 1 for row in a for x in row)
 
@@ -235,19 +224,18 @@ def integer_kernel(a: Matrix) -> list[list[int]]:
 
 
 def invariant_factors(a: Matrix) -> list[int]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix of full
+    rank r.
 
-    The length of the result is the rank of the matrix.
-
-    When the matrix (transposed if it has more rows than columns) has full
-    row rank r, pick a nonzero r x r minor d: the r columns at the pivots of
-    its row-echelon form.  The column lattice then contains d Z^r, so the
-    elimination works modulo d (symmetric residues) and each pivot is
-    replaced by gcd(pivot, d); a trailing block that reduces to zero gives
-    factors d (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  For a
-    square matrix the minor is the determinant.  Without the reduction,
-    entries can grow without bound even on small matrices, so a
-    rank-deficient input, which has no such minor, can take very long.
+    The matrix, transposed if it has more rows than columns, must have full
+    row rank r; any other input raises ValueError.  Pick a nonzero r x r
+    minor d: the r columns at the pivots of its row-echelon form, or the
+    determinant for a square matrix.  The column lattice then contains
+    d Z^r, so the elimination works modulo d (symmetric residues) and each
+    pivot is replaced by gcd(pivot, d); a trailing block that reduces to
+    zero gives factors d (Domich, Kannan and Trotter, Math. Oper. Res. 12,
+    1987).  Without the reduction, entries can grow without bound even on
+    small matrices.
     """
     m = [[int(x) for x in row] for row in a]
     if m and len(m) > len(m[0]):
@@ -261,9 +249,11 @@ def invariant_factors(a: Matrix) -> list[int]:
         for row in m:
             rref_insert(echelon, pivots, row)
     d = abs(det_int([[row[j] for j in pivots] for row in m])) if len(pivots) == rows else 0
+    if d == 0:
+        raise ValueError("invariant factors need a matrix of full rank")
 
     def reduce(x: int) -> int:
-        return (x + d // 2) % d - d // 2 if d else x
+        return (x + d // 2) % d - d // 2
 
     m = [[reduce(x) for x in row] for row in m]
     divisors: list[int] = []
@@ -276,8 +266,7 @@ def invariant_factors(a: Matrix) -> list[int]:
                 if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
-            if d:
-                divisors += [d] * (rows - t)
+            divisors += [d] * (rows - t)
             break
         i0, j0 = best
         m[t], m[i0] = m[i0], m[t]
@@ -303,8 +292,7 @@ def invariant_factors(a: Matrix) -> list[int]:
                         for row in m:
                             row[t], row[j] = row[j], row[t]
                         dirty = True
-        if d:
-            m[t][t] = math.gcd(m[t][t], d)
+        m[t][t] = math.gcd(m[t][t], d)
         # The pivot must divide every entry of the trailing block.
         offender = None
         for i in range(t + 1, rows):
@@ -315,6 +303,6 @@ def invariant_factors(a: Matrix) -> list[int]:
             for j in range(t, cols):
                 m[t][j] = reduce(m[t][j] + m[offender][j])
             continue
-        divisors.append(abs(m[t][t]))
+        divisors.append(m[t][t])
         t += 1
     return divisors

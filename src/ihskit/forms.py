@@ -331,16 +331,15 @@ def _additive_class(scalar: Sequence[Fraction], c1: str, c2: str, cap: int,
 # Public series
 
 
-def todd_series(c1: str = "c1F", c2: str = "c2F", cap: int = DEFAULT_CAP) -> GradedElement:
-    """Todd class of a rank-2 bundle with Chern forms (c1, c2)."""
-    return _multiplicative_class(scalar_todd(cap), c1, c2, cap)
+def todd_series(cap: int = DEFAULT_CAP) -> GradedElement:
+    """Todd class of the fixed tangent bundle, in its Chern forms (c1F, c2F)."""
+    return _multiplicative_class(scalar_todd(cap), "c1F", "c2F", cap)
 
 
-def sigmoid_det_factor(c1: str = "c1N", c2: str = "c2N",
-                       cap: int = DEFAULT_CAP) -> GradedElement:
-    """The determinant factor det(1 / (1 + exp(-.))) of a rank-2 bundle,
-    expanded in its Chern forms; constant term 1/4."""
-    return _multiplicative_class(scalar_sigmoid(cap), c1, c2, cap)
+def sigmoid_det_factor(cap: int = DEFAULT_CAP) -> GradedElement:
+    """The determinant factor det(1 / (1 + exp(-.))) of the normal bundle,
+    expanded in its Chern forms (c1N, c2N); constant term 1/4."""
+    return _multiplicative_class(scalar_sigmoid(cap), "c1N", "c2N", cap)
 
 
 def ch_bundle(c1: str, c2: str, dual: bool = False,
@@ -353,7 +352,7 @@ def ch_bundle(c1: str, c2: str, dual: bool = False,
 def equivariant_todd(cap: int = DEFAULT_CAP) -> GradedElement:
     """Fixed-point Todd form: Todd of the fixed tangent bundle times the
     normal-bundle determinant factor."""
-    return todd_series("c1F", "c2F", cap) * sigmoid_det_factor("c1N", "c2N", cap)
+    return todd_series(cap) * sigmoid_det_factor(cap)
 
 
 def equivariant_ch_cotangent(cap: int = DEFAULT_CAP) -> GradedElement:
@@ -391,7 +390,7 @@ class ProductIdentityReport:
     product_raw: GradedElement  # weight-3 product before eliminating c1N, c2N
 
 
-def verify_product_identity(cap: int = 3) -> ProductIdentityReport:
+def verify_product_identity() -> ProductIdentityReport:
     """Check the closed form of the weight-3 component of the fixed-point
     product Td_fix * ch_fix after eliminating the normal-bundle classes:
 
@@ -399,8 +398,7 @@ def verify_product_identity(cap: int = 3) -> ProductIdentityReport:
 
     Returns the exact residual; a nonzero residual means the identity failed.
     """
-    if cap < 3:
-        raise IhskitError("the identity lives in weight 3")
+    cap = 3  # the identity lives in weight 3
     product = equivariant_todd(cap) * equivariant_ch_cotangent(cap)
     raw = product.weight_component(3)
     lhs = substitute_normal_relations(raw)
@@ -409,7 +407,7 @@ def verify_product_identity(cap: int = 3) -> ProductIdentityReport:
     c1x = GradedElement.generator("c1X", cap)
     c2x = GradedElement.generator("c2X", cap)
     omega = c1f * c1f - 8 * c2f - c1x * c1x + 3 * c2x
-    rhs = 2 * todd_series("c1F", "c2F", cap).weight_component(3) \
+    rhs = 2 * todd_series(cap).weight_component(3) \
         + Fraction(1, 48) * c1x * omega
     residual = lhs - rhs
     return ProductIdentityReport(passed=residual.is_zero, lhs=lhs, rhs=rhs,

@@ -246,8 +246,7 @@ def invariant_lattice(g: Isometry) -> Sublattice:
     """The fixed sublattice {x in L : g(x) = x}, always saturated."""
     if not g.is_integral:
         raise IsometryError("invariant lattice requires an integral isometry")
-    n = g.rank
-    delta = exactmat.mat_sub(g.matrix, exactmat.identity(n))
+    delta = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
     kernel = exactmat.integer_kernel(delta)
     if not kernel:
         raise IsometryError("isometry has trivial invariant lattice")

@@ -30,10 +30,6 @@ _CATALOG_ENV = "IHSKIT_CATALOG"
 _CATALOG_DEFAULT = Path(__file__).parent / "data" / "catalog.json"
 
 
-def _freeze_gram(gram: Sequence[Sequence[int]]) -> Gram:
-    return tuple(tuple(int(x) for x in row) for row in gram)
-
-
 def _dot(u: Sequence, v: Sequence):
     return sum(map(operator.mul, u, v))
 
@@ -47,7 +43,7 @@ class Lattice:
     det: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gram = _freeze_gram(self.gram)
+        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if n == 0:
@@ -100,7 +96,7 @@ class Lattice:
         return f"Lattice({self.label!r}, rank={self.rank})"
 
 
-def direct_sum(*lattices: Lattice, label: str | None = None) -> Lattice:
+def direct_sum(*lattices: Lattice) -> Lattice:
     if not lattices:
         raise LatticeError("direct_sum needs at least one summand")
     total = sum(lat.rank for lat in lattices)
@@ -111,18 +107,14 @@ def direct_sum(*lattices: Lattice, label: str | None = None) -> Lattice:
             for j in range(lat.rank):
                 gram[offset + i][offset + j] = lat.gram[i][j]
         offset += lat.rank
-    if label is None:
-        label = "+".join(lat.label for lat in lattices)
-    return Lattice(label, _freeze_gram(gram))
+    return Lattice("+".join(lat.label for lat in lattices), gram)
 
 
-def rescale(lat: Lattice, k: int, label: str | None = None) -> Lattice:
+def rescale(lat: Lattice, k: int) -> Lattice:
     """The lattice L(k): same module, pairing multiplied by k."""
     if k == 0:
         raise LatticeError("rescale factor must be nonzero")
-    if label is None:
-        label = f"{lat.label}({k})"
-    return Lattice(label, _freeze_gram([[k * x for x in row] for row in lat.gram]))
+    return Lattice(f"{lat.label}({k})", [[k * x for x in row] for row in lat.gram])
 
 
 def orthogonal_basis(lat: Lattice) -> Iterator[tuple[list[int], int, int]]:
@@ -142,7 +134,7 @@ def orthogonal_basis(lat: Lattice) -> Iterator[tuple[list[int], int, int]]:
     n = lat.rank
     rows: list[list[int]] = []
     pivots: list[int] = []
-    for _ in range(n):
+    for step in range(n):
         isotropic = []
         for x, den in exactmat.rref_kernel(rows, pivots, n):
             gram_x = lat.pairing(x)
@@ -157,7 +149,8 @@ def orthogonal_basis(lat: Lattice) -> Iterator[tuple[list[int], int, int]]:
             gram_x = [a * dw + b * du for a, b in zip(gu, gw)]
             norm = _dot(x, gram_x)
         yield x, den, norm
-        exactmat.rref_insert(rows, pivots, gram_x)
+        if step < n - 1:  # the last vector's row would constrain no later step
+            exactmat.rref_insert(rows, pivots, gram_x)
 
 
 def signature(lat: Lattice) -> tuple[int, int]:
@@ -174,10 +167,7 @@ def is_hyperbolic(lat: Lattice) -> bool:
 
 def discriminant_group(lat: Lattice) -> tuple[int, ...]:
     """Elementary divisors > 1 of the discriminant group L^vee / L."""
-    divisors = exactmat.invariant_factors(lat.gram)
-    if len(divisors) != lat.rank:
-        raise LatticeError("Gram matrix must be nondegenerate")
-    return tuple(d for d in divisors if d > 1)
+    return tuple(d for d in exactmat.invariant_factors(lat.gram) if d > 1)
 
 
 def is_2_elementary(lat: Lattice) -> bool:
@@ -204,14 +194,13 @@ def is_primitive_sublattice(lat: Lattice, basis: Sequence[Sequence[int]]) -> boo
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A sublattice of an ambient lattice, given by basis rows in ambient coordinates."""
+    """A sublattice of an ambient lattice, given by linearly independent
+    basis rows in ambient coordinates.  Construction only validates the
+    basis; the induced lattice and primitivity are computed on first use."""
 
     ambient: Lattice
     basis: tuple[Vector, ...]
     label: str = ""
-    # The span is primitive exactly when all invariant factors of the basis
-    # coordinate matrix are 1.
-    is_primitive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         basis = tuple(tuple(int(x) for x in v) for v in self.basis)
@@ -226,8 +215,12 @@ class Sublattice:
         pivots: list[int] = []
         if not all(exactmat.rref_insert(echelon, pivots, v) for v in basis):
             raise LatticeError("sublattice basis rows are linearly dependent")
-        divisors = exactmat.invariant_factors([list(v) for v in basis])
-        object.__setattr__(self, "is_primitive", all(d == 1 for d in divisors))
+
+    @cached_property
+    def is_primitive(self) -> bool:
+        """True when the span is saturated in the ambient lattice: every
+        invariant factor of the basis coordinate matrix is 1."""
+        return all(d == 1 for d in exactmat.invariant_factors(self.basis))
 
     @property
     def rank(self) -> int:
@@ -258,7 +251,7 @@ class Sublattice:
     @cached_property
     def _induced(self) -> Lattice:
         gram = [[_dot(u, gv) for gv in self._basis_pairings] for u in self.basis]
-        return Lattice(self.label or f"sub({self.ambient.label})", _freeze_gram(gram))
+        return Lattice(self.label or f"sub({self.ambient.label})", gram)
 
     def ambient_divisibility(self, coords: Sequence[int]) -> int:
         """div of the embedded vector, read off the basis pairing rows."""
@@ -287,7 +280,7 @@ def _load_catalog(path_str: str) -> dict[str, Lattice]:
         raise LatticeError(f"cannot load lattice catalog {path}: {exc}") from exc
     lattices = {}
     for entry in doc.get("lattices", []):
-        lat = Lattice(entry["label"], _freeze_gram(entry["gram"]))
+        lat = Lattice(entry["label"], entry["gram"])
         lattices[_canon(lat.label)] = lat
     return lattices
 

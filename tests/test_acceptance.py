@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+from zeta_reference import riemann_zeta_em
+
 from ihskit.chambers import chamber_orbits, chambers_rank2, enumerate_delta, is_natural
 from ihskit.forms import (
     chern_values_from_roots,
@@ -39,7 +41,6 @@ from ihskit.torsion import (
     equivariant_torsion,
     numerology,
     omega_integral_from_parts,
-    riemann_zeta_em,
     zeta_prime_zero,
 )
 

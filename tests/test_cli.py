@@ -331,6 +331,18 @@ def test_zeta_and_torsion(tmp_path):
     assert abs(p["log"] + 1.0) < 1e-12
 
 
+def test_torsion_refuses_a_degree_spelled_twice(tmp_path):
+    # int("01") == int("1"): the second spectrum used to replace the first.
+    spectra = tmp_path / "sp.json"
+    spectra.write_text(json.dumps({"1": {"kind": "finite", "entries": [[math.e, 1]]},
+                                   "01": {"kind": "finite", "entries": [[2.0, 1]]}}))
+    r = run(["torsion", "eq", "--spectra", str(spectra), "--dim", "4"])
+    assert (r.exit_code, r.stdout) == (2, "")
+    error = json.loads(r.stderr)["error"]
+    assert error["kind"] == "input"
+    assert "'1'" in error["message"] and "'01'" in error["message"]
+
+
 def test_zeta_bad_spectrum(tmp_path):
     sdoc = tmp_path / "s.json"
     sdoc.write_text(json.dumps({"kind": "mystery"}))

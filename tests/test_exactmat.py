@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from conftest import random_unimodular
 from dense_reference import det_fraction, fraction_kernel, solve_fraction
 
@@ -79,8 +80,21 @@ def test_integer_kernel_annihilates():
 def test_invariant_factors_known_cases():
     assert exactmat.invariant_factors([[2, 0], [0, 4]]) == [2, 4]
     assert exactmat.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
-    assert exactmat.invariant_factors([[0, 0], [0, 0]]) == []
     assert exactmat.invariant_factors([[5]]) == [5]
+    # Tall: the two rows together span Z; either row alone would give 2 or 3.
+    assert exactmat.invariant_factors([[2], [3]]) == [1]
+
+
+@pytest.mark.parametrize("m", [
+    [[0, 0], [0, 0]],
+    [[1, 2], [2, 4]],
+    [[1, 2, 3, 4], [0, 1, 1, 0], [1, 2, 3, 4]],  # wide, last row repeats the first
+    [[1, 0, 1], [2, 1, 2], [3, 1, 3], [4, 0, 4]],  # tall, rank 2 of 3 columns
+    [[0], [0]],
+])
+def test_invariant_factors_refuse_rank_deficient_matrices(m):
+    with pytest.raises(ValueError):
+        exactmat.invariant_factors(m)
 
 
 def test_invariant_factors_divisibility_chain_and_product():
@@ -88,15 +102,18 @@ def test_invariant_factors_divisibility_chain_and_product():
     for _ in range(60):
         n = rng.randint(1, 4)
         m = random_int_matrix(rng, n, n)
+        det = exactmat.det_int(m)
+        if det == 0:
+            with pytest.raises(ValueError):
+                exactmat.invariant_factors(m)
+            continue
         factors = exactmat.invariant_factors(m)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
-        det = exactmat.det_int(m)
-        if det != 0:
-            prod = 1
-            for f in factors:
-                prod *= f
-            assert prod == abs(det)
+        prod = 1
+        for f in factors:
+            prod *= f
+        assert prod == abs(det)
 
 
 def minor_gcds(m, k):

@@ -239,8 +239,9 @@ def test_cartan_dieudonne_runtime_checks_fire(monkeypatch):
 def test_cartan_dieudonne_does_no_dense_work(monkeypatch):
     # The factorization applies reflections as rank-1 updates and keeps the
     # orthocomplement incrementally: no matrix product, no validated
-    # reflection isometry, and one row-echelon insertion and one kernel read
-    # per clamped vector, never a fresh kernel.
+    # reflection isometry, one kernel read per clamped vector and one
+    # row-echelon insertion per clamped vector but the last, never a fresh
+    # kernel.
     iota = make_admissible(catalog_nikulin("Zh")).iota
     names = ("mat_mul", "sparse_mat_mul", "rref_insert", "rref_kernel")
     calls = dict.fromkeys((*names, "Isometry"), 0)
@@ -257,7 +258,7 @@ def test_cartan_dieudonne_does_no_dense_work(monkeypatch):
                         counting("Isometry", Isometry.__post_init__))
     mirrors = cartan_dieudonne(iota)
     assert len(mirrors) == 21
-    assert calls == {"mat_mul": 0, "sparse_mat_mul": 0, "rref_insert": 23, "rref_kernel": 23,
+    assert calls == {"mat_mul": 0, "sparse_mat_mul": 0, "rref_insert": 22, "rref_kernel": 23,
                      "Isometry": 0}
     reflection(iota.lattice, mirrors[0])  # the counters see the validation
     assert calls["Isometry"] == 1 and calls["sparse_mat_mul"] == 2 and calls["mat_mul"] == 0
@@ -315,6 +316,29 @@ def test_invariant_lattice_swap_on_u():
     assert fix.basis == ((1, 1),)
     assert fix.induced().gram == ((2,),)
     assert fix.is_primitive
+
+
+def test_primitivity_is_computed_on_first_read(monkeypatch):
+    # Building a sublattice only validates it; the Smith normal form runs
+    # once, when is_primitive is first read.
+    calls = []
+    smith = exactmat.invariant_factors
+
+    def counting(m):
+        calls.append(m)
+        return smith(m)
+
+    monkeypatch.setattr(exactmat, "invariant_factors", counting)
+    l2 = build_standard("L2")
+    e = [tuple(1 if j == i else 0 for j in range(l2.rank)) for i in (0, 3, 22)]
+    fix = invariant_lattice(product_of_reflections(l2, e))
+    m0 = Sublattice(l2, (tuple(2 * x for x in e[0]),))
+    assert (fix.rank, len(calls)) == (20, 0)
+    assert fix.is_primitive and len(calls) == 1
+    assert fix.is_primitive and len(calls) == 1  # the flag is kept
+    with pytest.raises(IsometryError, match="primitive"):
+        nikulin_extension(m0, identity_isometry(l2).matrix)
+    assert len(calls) == 2
 
 
 def test_invariant_lattice_is_saturated():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_unimodular
+from zeta_reference import riemann_zeta_em
 
 from ihskit.errors import TorsionError
 from ihskit.torsion import (
@@ -17,7 +18,6 @@ from ihskit.torsion import (
     numerology,
     omega_integral_from_parts,
     quillen_combination,
-    riemann_zeta_em,
     zeta_prime_zero,
 )
 
